@@ -17,7 +17,6 @@ from .autodiff import (
     Parameter,
     Tensor,
     add,
-    concat,
     conv2d,
     getitem,
     l1_normalize,

@@ -4,7 +4,9 @@ Every downstream module (attention operators, backbone, contrastive loss)
 is built from the ops here. Conventions:
 
 * float64 throughout; image-like data is row-major NHWC,
-* the tape is built eagerly per forward pass and freed by ``backward``,
+* the tape is built eagerly per forward pass and freed by ``backward``;
+  inside ``no_grad()`` none is built, so forward-only passes keep no
+  intermediates alive and compute the same bits,
 * identical inputs give bit-identical outputs on a single thread,
 * normalization ops guard zero denominators with ``NORM_EPS``.
 
@@ -14,7 +16,8 @@ explicitly zeroed; a tensor outside the tape never receives one.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -158,9 +161,28 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no tape inside the block: outputs carry no parents or grad flag.
+
+    Forward values are unchanged; state mutation such as batch-norm
+    running statistics still happens. The previous mode is restored on
+    exit, also when the block raises or contexts nest.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -581,8 +603,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     """Per-channel batch norm over all leading axes (channels last).
 
     Training mode normalizes by biased batch statistics and folds them into
-    the running stats; eval mode uses the frozen running stats. The running
-    update is state mutation outside the tape.
+    the running stats; eval mode uses the frozen running stats in one
+    tape node whose forward works in place. The running update is state
+    mutation outside the tape.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -591,22 +614,37 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
             f"batch_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match channel axis ({c},)"
         )
     bshape = (1,) * (x.ndim - 1) + (c,)
+    if not training:
+        # One node doing the arithmetic of sub/mul/mul/add in their order, so
+        # values and gradients are bit-equal to that chain without its temporaries.
+        rm = state.running_mean.reshape(bshape)
+        scale = 1.0 / np.sqrt(state.running_var.reshape(bshape) + NORM_EPS)
+        gam = gamma.data.reshape(bshape)
+        data = x.data - rm
+        data *= scale
+        data *= gam
+        data += beta.data.reshape(bshape)
+
+        def backward(g):
+            if x.requires_grad:
+                _accumulate(x, (g * gam) * scale)
+            if gamma.requires_grad:
+                _accumulate(gamma, _unbroadcast(g * ((x.data - rm) * scale), bshape).reshape(c))
+            if beta.requires_grad:
+                _accumulate(beta, _unbroadcast(g, bshape).reshape(c))
+
+        return _make(data, (x, gamma, beta), backward)
     g_r = reshape(gamma, bshape)
     b_r = reshape(beta, bshape)
     axes = tuple(range(x.ndim - 1))
-    if training:
-        m = tmean(x, axis=axes, keepdims=True)
-        centered = sub(x, m)
-        v = tmean(mul(centered, centered), axis=axes, keepdims=True)
-        mom = state.momentum
-        state.running_mean = (1.0 - mom) * state.running_mean + mom * m.data.reshape(c)
-        state.running_var = (1.0 - mom) * state.running_var + mom * v.data.reshape(c)
-        inv = div(1.0, sqrt(add(v, NORM_EPS)))
-        return add(mul(mul(centered, inv), g_r), b_r)
-    rm = state.running_mean.reshape(bshape)
-    rv = state.running_var.reshape(bshape)
-    scale = 1.0 / np.sqrt(rv + NORM_EPS)
-    return add(mul(mul(sub(x, rm), Tensor(scale)), g_r), b_r)
+    m = tmean(x, axis=axes, keepdims=True)
+    centered = sub(x, m)
+    v = tmean(mul(centered, centered), axis=axes, keepdims=True)
+    mom = state.momentum
+    state.running_mean = (1.0 - mom) * state.running_mean + mom * m.data.reshape(c)
+    state.running_var = (1.0 - mom) * state.running_var + mom * v.data.reshape(c)
+    inv = div(1.0, sqrt(add(v, NORM_EPS)))
+    return add(mul(mul(centered, inv), g_r), b_r)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, global_avg_pool, l2_normalize
+from .autodiff import Tensor, global_avg_pool, l2_normalize, zero_grads
 from .backbone import BackboneParams, forward_to_featuremap
 from .contrast import MemoryDictionary
 from .dataio import ImageRecord, bilinear_upsample, read_ppm, write_ppm
@@ -141,6 +141,7 @@ def grad_cam_heatmap(
         target = "embedding energy"
     score.backward()
     grid = cam_from_gradients(fmap.data[0], fmap.grad[0])
+    zero_grads(params.parameters())
     return Heatmap(grid=grid, source_path=record.path, target=target)
 
 

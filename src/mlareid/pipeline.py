@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MODES
-from .autodiff import Parameter, Tensor, zero_grads
+from .autodiff import Parameter, Tensor, no_grad, zero_grads
 from .backbone import (
     BackboneConfig,
     BackboneParams,
@@ -230,17 +230,19 @@ def _derived_seed(*keys: int) -> int:
 def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Eval-mode features in fixed-size chunks (fixed so runs compare bit-wise)."""
     outs = []
-    for start in range(0, pixels.shape[0], FEATURE_CHUNK):
-        batch = Tensor(pixels[start:start + FEATURE_CHUNK])
-        outs.append(extract_features(batch, params, training=False).data)
+    with no_grad():
+        for start in range(0, pixels.shape[0], FEATURE_CHUNK):
+            batch = Tensor(pixels[start:start + FEATURE_CHUNK])
+            outs.append(extract_features(batch, params, training=False).data)
     return np.concatenate(outs, axis=0)
 
 
 def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:
-    """Settle batch-norm running stats with training-mode forward passes."""
-    for _ in range(passes):
-        for start in range(0, pixels.shape[0], FEATURE_CHUNK):
-            extract_features(Tensor(pixels[start:start + FEATURE_CHUNK]), params, training=True)
+    """Settle batch-norm running stats with tape-free training-mode forwards."""
+    with no_grad():
+        for _ in range(passes):
+            for start in range(0, pixels.shape[0], FEATURE_CHUNK):
+                extract_features(Tensor(pixels[start:start + FEATURE_CHUNK]), params, training=True)
 
 
 def _augment_batch(pixels: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:
@@ -477,13 +479,22 @@ def run_training(
     if state.iteration == 0 and cfg.clustering_iterations > 0:
         bn_warmup(state.backbone, pixels, cfg.bn_warmup_passes)
 
+    # A resumed run keeps the logged rows before its checkpoint and replaces
+    # the rest, so resuming from an older checkpoint duplicates no row. The
+    # kept rows go through a temporary file renamed over the report, so a
+    # run killed mid-iteration never loses rows that were already on disk.
     report_path = out / "report.csv"
-    fresh_log = resume_from is None or not report_path.exists()
-    mode = "w" if fresh_log else "a"
+    kept = [REPORT_HEADER]
+    if resume_from is not None and report_path.exists():
+        for row in report_path.read_text().splitlines()[1:]:
+            first = row.split(",", 1)[0]
+            if first.isdigit() and int(first) < state.iteration:
+                kept.append(row)
+    staged = report_path.with_name(report_path.name + ".tmp")
+    staged.write_text("".join(line + "\n" for line in kept))
+    staged.replace(report_path)
     reports: list[EpochReport] = []
-    with open(report_path, mode) as log:
-        if fresh_log:
-            log.write(REPORT_HEADER + "\n")
+    with open(report_path, "a") as log:
         while state.iteration < cfg.clustering_iterations:
             report = train_iteration(state, out_dir=out)
             reports.append(report)

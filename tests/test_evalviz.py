@@ -224,6 +224,21 @@ class TestGradCam:
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
         np.testing.assert_allclose(hm.grid, expect, atol=1e-10)
 
+    def test_leaves_no_parameter_gradients(self):
+        """The backward's parameter gradients are cleared; the map is unchanged."""
+        params = tiny_backbone()
+        record = tiny_record(3)
+        x = Tensor(record.pixels[None, ...])
+        fmap = forward_to_featuremap(x, params, training=False)
+        projected = global_avg_pool(fmap) @ params.embed_w + params.embed_b
+        (projected * projected).sum().backward()
+        expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
+        for p in params.parameters():
+            p.zero_grad()
+        hm = grad_cam_heatmap(record, params)
+        assert all(p.grad is None for p in params.parameters())
+        assert hm.grid.tobytes() == expect.tobytes()
+
     def test_values_in_unit_interval_and_max_is_one(self):
         """Any nonzero map normalizes to peak exactly 1."""
         params = tiny_backbone()

@@ -8,7 +8,8 @@ from mlareid.checkpoint import load_checkpoint
 from mlareid.clustering import PseudoLabels
 from mlareid.dataio import SynthSpec, synth_generate
 from mlareid.errors import ConfigError, ContractError, EpochSkip
-from mlareid.autodiff import Parameter
+from mlareid.attention import MODES
+from mlareid.autodiff import Parameter, Tensor
 from mlareid.pipeline import (
     REPORT_HEADER,
     AdamState,
@@ -301,6 +302,24 @@ class TestRunTraining:
         for key in a:
             assert a[key].tobytes() == b[key].tobytes(), key
 
+    def test_resume_in_place_from_older_checkpoint_rewrites_report(self, tiny_dataset, tmp_path):
+        """Resuming inside a longer run's directory replaces its later rows."""
+        data, eps = tiny_dataset
+        ck2, _ = run_training(self.desk_cfg(eps, iters=2), data, tmp_path / "half",
+                              backbone_cfg=tiny_backbone("all"))
+
+        def rows_without_seconds():
+            lines = (tmp_path / "run" / "report.csv").read_text().splitlines()
+            return [ln.rsplit(",", 1)[0] for ln in lines]
+
+        run_training(self.desk_cfg(eps, iters=4), data, tmp_path / "run",
+                     backbone_cfg=tiny_backbone("all"))
+        straight = rows_without_seconds()
+        run_training(self.desk_cfg(eps, iters=4), data, tmp_path / "run", resume_from=ck2)
+        assert rows_without_seconds() == straight
+        assert len(straight) == 5
+        assert not (tmp_path / "run" / "report.csv.tmp").exists()
+
     def test_skip_iteration_keeps_parameters_bit_unchanged(self, tiny_dataset, tmp_path):
         """An eps tiny enough to make everything noise must train nothing."""
         data, eps = tiny_dataset
@@ -340,3 +359,22 @@ class TestRunTraining:
         assert any(k.startswith("optim.m.") for k in entries)
         assert "meta.attention_mode" in entries
         assert int(entries["pipeline.iteration"]) == 1
+
+
+class TestTapeFreeExtraction:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_features_equal_grad_mode_forward(self, mode):
+        """extract_all_features gives the bytes of an eval forward with the tape on."""
+        from mlareid.backbone import build_backbone, extract_features
+        from mlareid.pipeline import FEATURE_CHUNK, bn_warmup, extract_all_features
+
+        rng = np.random.default_rng(MODES.index(mode))
+        pixels = rng.uniform(0.0, 1.0, size=(FEATURE_CHUNK + 3, 16, 16, 3))
+        params = build_backbone(tiny_backbone(mode), 1)
+        bn_warmup(params, pixels, 1)
+        taped = []
+        for start in range(0, pixels.shape[0], FEATURE_CHUNK):
+            out = extract_features(Tensor(pixels[start:start + FEATURE_CHUNK]), params, training=False)
+            assert out.requires_grad
+            taped.append(out.data)
+        assert extract_all_features(pixels, params).tobytes() == np.concatenate(taped).tobytes()

@@ -84,14 +84,23 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(k))
         np.testing.assert_allclose(out.data, conv2d_loop_reference(x, k), atol=1e-12)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_stride_and_padding_match_loop_reference(self, stride, pad):
-        """Strided and padded variants agree with the loop oracle."""
-        rng = np.random.default_rng(stride * 10 + pad)
+    @pytest.mark.parametrize("stride,pad,ksize,with_bias", [
+        pytest.param(1, 0, 3, True, id="1-0"),
+        pytest.param(1, 1, 3, True, id="1-1"),
+        pytest.param(2, 0, 3, True, id="2-0"),
+        pytest.param(2, 1, 3, True, id="2-1"),
+        pytest.param(1, 0, 1, True, id="1x1-1-bias"),
+        pytest.param(1, 0, 1, False, id="1x1-1-nobias"),
+        pytest.param(2, 0, 1, True, id="1x1-2-bias"),
+        pytest.param(2, 0, 1, False, id="1x1-2-nobias"),
+    ])
+    def test_stride_and_padding_match_loop_reference(self, stride, pad, ksize, with_bias):
+        """Strided, padded and 1x1 variants agree with the loop oracle."""
+        rng = np.random.default_rng(stride * 10 + pad + 100 * (ksize == 1))
         x = rng.standard_normal((2, 5, 6, 3))
-        k = rng.standard_normal((3, 3, 3, 4))
-        b = rng.standard_normal(4)
-        out = conv2d(Tensor(x), Tensor(k), bias=Tensor(b), stride=stride, zero_pad=pad)
+        k = rng.standard_normal((ksize, ksize, 3, 4))
+        b = rng.standard_normal(4) if with_bias else None
+        out = conv2d(Tensor(x), Tensor(k), bias=None if b is None else Tensor(b), stride=stride, zero_pad=pad)
         np.testing.assert_allclose(out.data, conv2d_loop_reference(x, k, b, stride, pad), atol=1e-12)
 
     def test_channel_mismatch_names_axis(self):
@@ -133,6 +142,23 @@ class TestConv2d:
             lambda t: conv2d(t, Tensor(k0), stride=2, zero_pad=1).sum(), x0
         )
         assert err < 1e-6
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_by_one_gradients_match_finite_differences(self, stride):
+        """1x1 conv gradients w.r.t. input, kernel and bias pass finite differences."""
+        rng = np.random.default_rng(5 + stride)
+        x0 = rng.standard_normal((2, 5, 4, 3))
+        k0 = rng.standard_normal((1, 1, 3, 2))
+        b0 = rng.standard_normal(2)
+        w = Tensor(rng.standard_normal(conv2d(Tensor(x0), Tensor(k0), stride=stride).shape))
+
+        def run(x, k, b):
+            return (conv2d(x, k, bias=b, stride=stride) * w).sum()
+
+        err_x = finite_diff_check(lambda t: run(t, Tensor(k0), Tensor(b0)), x0)
+        err_k = finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), k0)
+        err_b = finite_diff_check(lambda t: run(Tensor(x0), Tensor(k0), t), b0)
+        assert err_x < 1e-6 and err_k < 1e-6 and err_b < 1e-6
 
 
 class TestMatmul:
@@ -316,6 +342,99 @@ class TestBatchNorm:
 
         assert finite_diff_check(run_x, x0) < 1e-4
         assert finite_diff_check(run_g, g0) < 1e-6
+
+    def test_eval_gradients(self):
+        """The eval-mode node's x, gamma and beta gradients pass finite differences."""
+        rng = np.random.default_rng(16)
+        x0 = rng.standard_normal((2, 3, 2, 3))
+        g0 = rng.standard_normal(3)
+        b0 = rng.standard_normal(3)
+        w = Tensor(rng.standard_normal(x0.shape))
+        state = BatchNormState(3)
+        state.running_mean = rng.standard_normal(3)
+        state.running_var = rng.uniform(0.5, 2.0, 3)
+
+        def run(x, g, b):
+            return (batch_norm(x, g, b, state, training=False) * w).sum()
+
+        assert finite_diff_check(lambda t: run(t, Tensor(g0), Tensor(b0)), x0) < 1e-6
+        assert finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), g0) < 1e-6
+        assert finite_diff_check(lambda t: run(Tensor(x0), Tensor(g0), t), b0) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 2, 3, 3), (2, 3, 2, 3)])
+    def test_eval_node_is_bit_equal_to_composed_ops(self, shape):
+        """Forward and all three gradients equal the sub/mul/mul/add chain bit for bit."""
+        rng = np.random.default_rng(17)
+        c = shape[-1]
+        state = BatchNormState(c)
+        state.running_mean = rng.standard_normal(c)
+        state.running_var = rng.uniform(0.5, 2.0, c)
+        w = Tensor(rng.standard_normal(shape))
+        x0, g0, b0 = rng.standard_normal(shape), rng.standard_normal(c), rng.standard_normal(c)
+        bshape = (1,) * (len(shape) - 1) + (c,)
+
+        def composed(x, g, b):
+            scale = 1.0 / np.sqrt(state.running_var.reshape(bshape) + ad.NORM_EPS)
+            centered = ad.sub(x, state.running_mean.reshape(bshape))
+            return ad.add(ad.mul(ad.mul(centered, Tensor(scale)), g.reshape(bshape)), b.reshape(bshape))
+
+        results = []
+        for f in (composed, lambda x, g, b: batch_norm(x, g, b, state, training=False)):
+            x, g, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, g0, b0))
+            out = f(x, g, b)
+            (out * w).sum().backward()
+            results.append([a.tobytes() for a in (out.data, x.grad, g.grad, b.grad)])
+        assert results[0] == results[1]
+
+
+class TestNoGrad:
+    def test_outputs_carry_no_tape(self):
+        """Under no_grad an op on a grad-requiring input records nothing."""
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            out = relu(x * 2.0).sum()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert (x * 2.0).requires_grad
+
+    def test_values_match_grad_mode(self):
+        """Forward values are identical with and without the tape."""
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((2, 4, 4, 3)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 3, 3, 2)), requires_grad=True)
+        with_tape = softmax(conv2d(x, k, zero_pad=1)).data
+        with ad.no_grad():
+            without = softmax(conv2d(x, k, zero_pad=1)).data
+        assert with_tape.tobytes() == without.tobytes()
+
+    def test_mode_restored_after_nesting(self):
+        x = Tensor([1.0], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not (x * x).requires_grad
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
+    def test_mode_restored_after_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        assert (x * x).requires_grad
+
+    def test_training_batch_norm_updates_running_stats(self):
+        """Running statistics update under no_grad exactly as with the tape."""
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((5, 3))
+        gamma = Parameter("bn.gamma", np.ones(3))
+        beta = Parameter("bn.beta", np.zeros(3))
+        taped, free = BatchNormState(3), BatchNormState(3)
+        batch_norm(Tensor(x), gamma, beta, taped, training=True)
+        with ad.no_grad():
+            out = batch_norm(Tensor(x), gamma, beta, free, training=True)
+        assert not out.requires_grad
+        assert not np.array_equal(free.running_mean, np.zeros(3))
+        assert free.running_mean.tobytes() == taped.running_mean.tobytes()
+        assert free.running_var.tobytes() == taped.running_var.tobytes()
 
 
 class TestBackward:
