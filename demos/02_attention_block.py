@@ -25,7 +25,7 @@ for mode in MODES:
         mode=mode, heads=2, c_k=3, h_max=8, w_max=4,
         name="demo",
     )
-    out = mla_block_forward(x, params, mode, training=False)
+    out = mla_block_forward(x, params, training=False)
     outputs[mode] = out.data
     print(f"{mode:9s} out shape {out.data.shape}  mean {out.data.mean():+.4f}  std {out.data.std():.4f}")
 

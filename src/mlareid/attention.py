@@ -48,9 +48,6 @@ class PlaParams:
     kernel: Parameter  # [3,3,c,c]
     bias: Parameter  # [c]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.kernel, self.bias]
-
 
 @dataclass
 class HlaParams:
@@ -63,9 +60,6 @@ class HlaParams:
     r_w: Parameter  # [heads, W_max, d_head]
     heads: int
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v, self.r_h, self.r_w]
-
 
 @dataclass
 class DlaParams:
@@ -75,9 +69,6 @@ class DlaParams:
     k_d: Parameter  # [1,1,c,c_k]
     v_d: Parameter  # [1,1,c_k,c]
     c_k: int
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.k_d, self.v_d]
 
 
 @dataclass
@@ -97,26 +88,6 @@ class MlaBlockParams:
     bn_sc: BnParams | None
     stride: int
     mode: str
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.reduce, self.expand]
-        out += self.bn1.parameters() + self.bn2.parameters() + self.bn3.parameters()
-        if self.conv_mid is not None:
-            out.append(self.conv_mid)
-        for sub in (self.pla, self.hla, self.dla):
-            if sub is not None:
-                out += sub.parameters()
-        if self.shortcut is not None:
-            out.append(self.shortcut)
-            out += self.bn_sc.parameters()
-        return out
-
-    def state_entries(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for bn in (self.bn1, self.bn2, self.bn3, self.bn_sc):
-            if bn is not None:
-                out.update(bn.state_entries())
-        return out
 
 
 def init_pla(rng: np.random.Generator, c: int, name: str) -> PlaParams:
@@ -260,32 +231,18 @@ def dla_forward(x: Tensor, p: DlaParams) -> Tensor:
     return add(x, conv2d(att, p.v_d))
 
 
-def mla_block_forward(x: Tensor, p: MlaBlockParams, mode: str, training: bool) -> Tensor:
-    """Reduce, run the mode's middle stage, expand, add the shortcut."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown attention mode {mode!r}, expected one of {MODES}")
-    needs = {
-        "baseline": ("conv_mid",),
-        "pla": ("pla",),
-        "hla": ("hla",),
-        "pla+hla": ("pla", "hla"),
-        "dla": ("dla",),
-        "all": ("pla", "hla", "dla"),
-    }
-    for field in needs[mode]:
-        if getattr(p, field) is None:
-            raise ConfigError(f"mode {mode!r} requires block parameters for {field!r}")
-
+def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
+    """Reduce, run the middle stage of ``p.mode``, expand, add the shortcut."""
     y = relu(p.bn1.apply(conv2d(x, p.reduce, stride=p.stride), training))
-    if mode == "baseline":
+    if p.mode == "baseline":
         m = conv2d(y, p.conv_mid, zero_pad=1)
     else:
         m = y
-        if mode in ("pla", "pla+hla", "all"):
+        if p.mode in ("pla", "pla+hla", "all"):
             m = pla_forward(m, p.pla)
-        if mode in ("hla", "pla+hla", "all"):
+        if p.mode in ("hla", "pla+hla", "all"):
             m = hla_forward(m, p.hla)
-        if mode in ("dla", "all"):
+        if p.mode in ("dla", "all"):
             m = dla_forward(m, p.dla)
     m = relu(p.bn2.apply(m, training))
     z = p.bn3.apply(conv2d(m, p.expand), training)

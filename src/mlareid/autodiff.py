@@ -413,22 +413,6 @@ def getitem(a, idx) -> Tensor:
     return _make(np.ascontiguousarray(data), (a,), backward)
 
 
-def concat(tensors: Iterable, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(sl)])
-
-    return _make(data, ts, backward)
-
-
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
@@ -654,31 +638,34 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
 def finite_diff_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-5) -> float:
     """Max relative disagreement between backward() and central differences.
 
-    ``f`` must be a pure Tensor -> scalar map. Per coordinate the error is
-    |analytic - numeric| / max(1, |analytic|, |numeric|); the max over
-    coordinates is returned.
+    ``f`` must be a pure Tensor -> scalar map. A ``Parameter`` is probed in
+    place, so ``f`` may also ignore its argument and read the parameter from
+    a closure; its data is restored and its grad cleared before and after.
+    Per coordinate the error is |analytic - numeric| / max(1, |analytic|,
+    |numeric|); the max over coordinates is returned.
     """
     if step <= 0:
         raise ContractError(f"finite_diff_check: step must be positive, got {step}")
-    base = as_tensor(x).data.copy()
-    probe = Tensor(base.copy(), requires_grad=True)
+    probe = x if isinstance(x, Parameter) else Tensor(as_tensor(x).data.copy(), requires_grad=True)
+    probe.grad = None
     out = f(probe)
     if out.size != 1:
         raise ContractError(f"finite_diff_check: f must return a scalar, got shape {out.shape}")
     out.backward()
-    analytic = np.zeros_like(base) if probe.grad is None else probe.grad.copy()
+    analytic = np.zeros_like(probe.data) if probe.grad is None else probe.grad
+    probe.grad = None
 
-    numeric = np.zeros_like(base).reshape(-1)
-    flat = base.reshape(-1)
+    flat = probe.data.reshape(-1)  # a view: coordinates are perturbed in place
+    numeric = np.zeros(flat.size)
     for i in range(flat.size):
         saved = flat[i]
         flat[i] = saved + step
-        fp = f(Tensor(base)).item()
+        fp = f(probe).item()
         flat[i] = saved - step
-        fm = f(Tensor(base)).item()
+        fm = f(probe).item()
         flat[i] = saved
         numeric[i] = (fp - fm) / (2.0 * step)
-    numeric = numeric.reshape(base.shape)
+    numeric = numeric.reshape(analytic.shape)
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     err = np.abs(analytic - numeric) / denom

@@ -24,7 +24,7 @@ from .autodiff import (
     relu,
 )
 from .errors import ConfigError, DataFormatError, DimensionError
-from .layers import BnParams, init_bn, kaiming_conv, kaiming_linear
+from .layers import BnParams, init_bn, kaiming_conv, kaiming_linear, parameters, state_entries
 
 
 @dataclass
@@ -79,28 +79,18 @@ class BackboneConfig:
 
 @dataclass
 class BasicBlockParams:
-    """Plain two-conv residual block, stride on the first conv."""
+    """Plain two-conv residual block, stride on the first conv.
+
+    Field order is the checkpoint layout: both convs precede their norms.
+    """
 
     conv1: Parameter
-    bn1: BnParams
     conv2: Parameter
+    bn1: BnParams
     bn2: BnParams
     shortcut: Parameter | None
     bn_sc: BnParams | None
     stride: int
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.conv1, self.conv2] + self.bn1.parameters() + self.bn2.parameters()
-        if self.shortcut is not None:
-            out.append(self.shortcut)
-            out += self.bn_sc.parameters()
-        return out
-
-    def state_entries(self) -> dict[str, np.ndarray]:
-        out = {**self.bn1.state_entries(), **self.bn2.state_entries()}
-        if self.bn_sc is not None:
-            out.update(self.bn_sc.state_entries())
-        return out
 
 
 @dataclass
@@ -112,21 +102,6 @@ class BackboneParams:
     mla: MlaBlockParams | None = None
     embed_w: Parameter | None = None
     embed_b: Parameter | None = None
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.stem] + self.stem_bn.parameters()
-        for block in self.blocks:
-            out += block.parameters()
-        out += self.mla.parameters()
-        out += [self.embed_w, self.embed_b]
-        return out
-
-    def state_entries(self) -> dict[str, np.ndarray]:
-        out = self.stem_bn.state_entries()
-        for block in self.blocks:
-            out.update(block.state_entries())
-        out.update(self.mla.state_entries())
-        return out
 
 
 def _init_basic_block(
@@ -217,7 +192,7 @@ def forward_to_featuremap(images: Tensor, params: BackboneParams, training: bool
     x = relu(params.stem_bn.apply(conv2d(images, params.stem, zero_pad=1), training))
     for block in params.blocks:
         x = _basic_forward(x, block, training)
-    return mla_block_forward(x, params.mla, cfg.attention_mode, training)
+    return mla_block_forward(x, params.mla, training)
 
 
 def embed_from_featuremap(fmap: Tensor, params: BackboneParams) -> Tensor:
@@ -234,24 +209,14 @@ def extract_features(images: Tensor, params: BackboneParams, training: bool) -> 
 
 def named_entries(params: BackboneParams) -> dict[str, np.ndarray]:
     """All learnable tensors plus batch-norm running stats, keyed by name."""
-    out = {p.name: p.data for p in params.parameters()}
-    out.update(params.state_entries())
+    out = {p.name: p.data for p in parameters(params)}
+    out.update(state_entries(params))
     return out
 
 
 def load_named_entries(params: BackboneParams, entries: dict[str, np.ndarray]) -> None:
     """Restore parameters and running stats in place from checkpoint entries."""
-    for p in params.parameters():
-        if p.name not in entries:
-            raise DataFormatError(f"checkpoint is missing entry {p.name!r}")
-        value = entries[p.name]
-        if value.shape != p.data.shape:
-            raise DataFormatError(
-                f"checkpoint entry {p.name!r} has shape {value.shape}, expected {p.data.shape}"
-            )
-        p.data = np.ascontiguousarray(value)
-        p.grad = None
-    for name, target in params.state_entries().items():
+    for name, target in named_entries(params).items():
         if name not in entries:
             raise DataFormatError(f"checkpoint is missing entry {name!r}")
         value = entries[name]

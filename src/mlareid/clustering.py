@@ -10,10 +10,8 @@ inputs always produce identical labels.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .errors import ContractError
 
 @dataclass
 class DistanceMatrix:
-    n: int
     d: np.ndarray  # symmetric, zero diagonal, entries >= 0
 
 
@@ -48,7 +45,7 @@ def pairwise_cosine_distance(features) -> DistanceMatrix:
     d = 1.0 - f @ f.T
     d = np.clip((d + d.T) / 2.0, 0.0, 2.0)  # symmetrize away roundoff skew
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(n=f.shape[0], d=d)
+    return DistanceMatrix(d=d)
 
 
 def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabels:
@@ -57,7 +54,7 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabels:
         raise ContractError(f"dbscan: eps must be positive, got {eps}")
     if min_pts < 1:
         raise ContractError(f"dbscan: min_pts must be at least 1, got {min_pts}")
-    n = dist.n
+    n = dist.d.shape[0]
     within = dist.d <= eps
     core = within.sum(axis=1) >= min_pts
     labels = np.full(n, -1, dtype=np.int64)
@@ -107,10 +104,3 @@ def cluster_summary(pl: PseudoLabels) -> ClusterStats:
     sizes = np.bincount(labels[labels >= 0], minlength=k) if k else np.zeros(0, dtype=np.int64)
     return ClusterStats(k=k, sizes=sizes, noise_fraction=noise / n if n else 0.0)
 
-
-def export_labels_csv(pl: PseudoLabels, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label"])
-        for i, lab in enumerate(pl.labels):
-            writer.writerow([i, int(lab)])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, global_avg_pool, l2_normalize, zero_grads
+from .autodiff import Tensor, global_avg_pool, l2_normalize, no_grad
 from .backbone import BackboneParams, forward_to_featuremap
 from .contrast import MemoryDictionary
 from .dataio import ImageRecord, bilinear_upsample, read_ppm, write_ppm
@@ -123,10 +123,11 @@ def grad_cam_heatmap(
     whose gradient still carries spatial structure (the normalized
     embedding has constant norm and would give a zero map).
     """
-    x = Tensor(record.pixels[None, ...])
-    fmap = forward_to_featuremap(x, params, training=False)
+    with no_grad():
+        fmap = forward_to_featuremap(Tensor(record.pixels[None, ...]), params, training=False)
+    fmap = Tensor(fmap.data, requires_grad=True)  # the tape starts at the map
     pooled = global_avg_pool(fmap)
-    projected = pooled @ params.embed_w + params.embed_b
+    projected = pooled @ params.embed_w.detach() + params.embed_b.detach()
 
     if memory is not None:
         if cluster_id is None or not 0 <= cluster_id < memory.k:
@@ -141,7 +142,6 @@ def grad_cam_heatmap(
         target = "embedding energy"
     score.backward()
     grid = cam_from_gradients(fmap.data[0], fmap.grad[0])
-    zero_grads(params.parameters())
     return Heatmap(grid=grid, source_path=record.path, target=target)
 
 
@@ -165,7 +165,3 @@ def export_heatmap(hm: Heatmap, out_base: str | Path, source_pixels: np.ndarray 
     overlay = 0.5 * source_pixels + 0.5 * ramp
     write_ppm(out_base.with_suffix(".ppm"), overlay)
 
-
-def load_heatmap_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)])

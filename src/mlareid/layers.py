@@ -1,8 +1,16 @@
-"""Shared building blocks: weight initialization and batch-norm containers."""
+"""Shared building blocks: weight initialization, batch-norm containers and
+the one walk over a parameter tree.
+
+A parameter tree is a dataclass whose fields hold ``Parameter``s,
+``BnParams``, nested parameter dataclasses, lists of them, ``None`` or
+plain settings. Field declaration order is the checkpoint layout and the
+optimizer order, so reordering fields changes both.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -33,16 +41,6 @@ class BnParams:
     def apply(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.state, training)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
-
-    def state_entries(self) -> dict[str, np.ndarray]:
-        prefix = self.gamma.name.rsplit(".", 1)[0]
-        return {
-            f"{prefix}.running_mean": self.state.running_mean,
-            f"{prefix}.running_var": self.state.running_var,
-        }
-
 
 def init_bn(channels: int, name: str) -> BnParams:
     return BnParams(
@@ -50,3 +48,31 @@ def init_bn(channels: int, name: str) -> BnParams:
         beta=Parameter(f"{name}.beta", np.zeros(channels)),
         state=BatchNormState(channels),
     )
+
+
+def _walk(node) -> Iterator[Parameter | BnParams]:
+    """Every Parameter and BnParams under ``node``, depth first in field order."""
+    if isinstance(node, (Parameter, BnParams)):
+        yield node
+    if isinstance(node, list):
+        for item in node:
+            yield from _walk(item)
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _walk(getattr(node, f.name))
+
+
+def parameters(tree) -> list[Parameter]:
+    """All trainable tensors of a parameter tree, in field order."""
+    return [leaf for leaf in _walk(tree) if isinstance(leaf, Parameter)]
+
+
+def state_entries(tree) -> dict[str, np.ndarray]:
+    """Batch-norm running statistics of a parameter tree, keyed by checkpoint name."""
+    out: dict[str, np.ndarray] = {}
+    for leaf in _walk(tree):
+        if isinstance(leaf, BnParams):
+            prefix = leaf.gamma.name.rsplit(".", 1)[0]
+            out[f"{prefix}.running_mean"] = leaf.state.running_mean
+            out[f"{prefix}.running_var"] = leaf.state.running_var
+    return out

@@ -32,6 +32,7 @@ from .clustering import PseudoLabels, cluster_summary, dbscan, pairwise_cosine_d
 from .contrast import MemoryDictionary, batch_hard_update, cluster_nce_loss, init_memory
 from .dataio import load_dataset, stack_pixels
 from .errors import ConfigError, ContractError, DataFormatError, EmptyClusteringError, EpochSkip
+from .layers import parameters
 
 REPORT_HEADER = "iter,K,noise_frac,mean_loss,lr,seconds"
 FEATURE_CHUNK = 32  # fixed eval-extraction batch so runs stay bit-comparable
@@ -268,7 +269,7 @@ def _dump_diagnostics(out_dir: Path, features: np.ndarray, labels: PseudoLabels,
     return dump
 
 
-def train_iteration(state: RunState, out_dir: Path | None = None) -> EpochReport:
+def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     """One clustering iteration: cluster, rebuild memory, train one pass."""
     cfg = state.cfg
     started = time.perf_counter()
@@ -301,7 +302,7 @@ def train_iteration(state: RunState, out_dir: Path | None = None) -> EpochReport
         return skip_report()
 
     losses: list[float] = []
-    params = state.backbone.parameters()
+    params = parameters(state.backbone)
     for sub_epoch in range(cfg.epochs_per_iteration):
         global_epoch = state.epoch + sub_epoch
         lr = lr_at(global_epoch, cfg)
@@ -323,7 +324,7 @@ def train_iteration(state: RunState, out_dir: Path | None = None) -> EpochReport
             feats = extract_features(Tensor(batch_pixels), state.backbone, training=True)
             loss = cluster_nce_loss(feats, targets, memory)
             if not np.isfinite(loss.item()):
-                where = _dump_diagnostics(out_dir or Path("."), features, labels, lr)
+                where = _dump_diagnostics(out_dir, features, labels, lr)
                 raise ContractError(
                     f"non-finite loss {loss.item()} at iteration {iteration}; "
                     f"diagnostics written to {where}"

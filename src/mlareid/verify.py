@@ -142,7 +142,7 @@ def _check_mla_block(rng: np.random.Generator) -> float:
     w = rng.standard_normal((2, 3, 3, 8))
 
     def loss(t: Tensor) -> Tensor:
-        return (mla_block_forward(t, p, p.mode, training=True) * Tensor(w)).sum()
+        return (mla_block_forward(t, p, training=True) * Tensor(w)).sum()
 
     return finite_diff_check(loss, x)
 
@@ -153,38 +153,11 @@ def _check_mla_block_params(rng: np.random.Generator) -> float:
     x = Tensor(rng.standard_normal((2, 3, 3, 4)) * 0.5)
     w = rng.standard_normal((2, 3, 3, 8))
 
-    def make_loss() -> Tensor:
-        return (mla_block_forward(x, p, p.mode, training=True) * Tensor(w)).sum()
+    def loss(_: Tensor) -> Tensor:
+        return (mla_block_forward(x, p, training=True) * Tensor(w)).sum()
 
-    worst = 0.0
-    for probe in (p.pla.kernel, p.hla.w_q, p.hla.r_h, p.dla.k_d, p.reduce):
-        worst = max(worst, _param_fdc(make_loss, probe))
-    return worst
-
-
-def _param_fdc(make_loss, param: Parameter, step: float = 1e-5) -> float:
-    """Finite differences against a named parameter inside a closure."""
-    param.grad = None
-    loss = make_loss()
-    loss.backward()
-    analytic = param.grad.copy() if param.grad is not None else np.zeros_like(param.data)
-    original = param.data
-    base = original.copy()
-    param.data = base  # mutate this working copy in place below
-    numeric = np.zeros_like(base)
-    flat = base.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + step
-        hi = make_loss().item()
-        flat[i] = keep - step
-        lo = make_loss().item()
-        flat[i] = keep
-        num_flat[i] = (hi - lo) / (2.0 * step)
-    param.data = original
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    probes = (p.pla.kernel, p.hla.w_q, p.hla.r_h, p.dla.k_d, p.reduce)
+    return max(finite_diff_check(loss, probe) for probe in probes)
 
 
 def _check_cluster_nce(rng: np.random.Generator) -> float:

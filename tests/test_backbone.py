@@ -1,8 +1,11 @@
 """Backbone construction, forward contracts and embedding head."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from mlareid.attention import MODES
 from mlareid.autodiff import Tensor, finite_diff_check
 from mlareid.backbone import (
     BackboneConfig,
@@ -14,6 +17,17 @@ from mlareid.backbone import (
     named_entries,
 )
 from mlareid.errors import ConfigError, DataFormatError, DimensionError
+from mlareid.layers import parameters
+
+# sha256 of the newline-joined named_entries() keys of the default config
+LAYOUT_SHA256 = {
+    "baseline": "16cf4dde523aa14701af80f44bdcca42ea853fc9c6beae8af492bd4b8b838e70",
+    "pla": "62301dd1f01a796c9b38e64dcbb949c684c8c1d5694a4f0200389a463fda5d32",
+    "hla": "9e9b065ba28d1c9815f9d208c7ed0d7a0753f21cddf5884dc79c7fe954aa422c",
+    "pla+hla": "fc4616621bdc9e8fbdc394a7b4474fe8af8822f8b3cc111c6da06b5c0b0c996b",
+    "dla": "d86addfe81d8a819f9a00d082dd9b11dc2f3d1e5a95c2079106f25c2ba9ab7f7",
+    "all": "9c9718f0954e491363581031286fe7b097bc44711602d7987a669557f068280b",
+}
 
 
 def tiny_config(mode="all"):
@@ -54,8 +68,8 @@ class TestBuild:
         """Trunk and embedding parameters are bit-identical across modes."""
         a = build_backbone(tiny_config("all"), 7)
         b = build_backbone(tiny_config("baseline"), 7)
-        names_a = {p.name: p.data for p in a.parameters() if not p.name.startswith("mla.")}
-        names_b = {p.name: p.data for p in b.parameters() if not p.name.startswith("mla.")}
+        names_a = {p.name: p.data for p in parameters(a) if not p.name.startswith("mla.")}
+        names_b = {p.name: p.data for p in parameters(b) if not p.name.startswith("mla.")}
         assert names_a.keys() == names_b.keys()
         for name in names_a:
             assert names_a[name].tobytes() == names_b[name].tobytes(), name
@@ -138,17 +152,9 @@ class TestFeatures:
         params = build_backbone(tiny_config(), 9)
         x = Tensor(np.random.default_rng(6).uniform(0, 1, size=(1, 16, 8, 3)))
         fmap = forward_to_featuremap(x, params, training=False).detach()
-        target = np.random.default_rng(7).standard_normal((1, 6))
-
-        def run(t):
-            saved = params.embed_w
-            params.embed_w = t
-            try:
-                return (embed_from_featuremap(fmap, params) * Tensor(target)).sum()
-            finally:
-                params.embed_w = saved
-
-        assert finite_diff_check(run, params.embed_w.data) < 1e-3
+        target = Tensor(np.random.default_rng(7).standard_normal((1, 6)))
+        err = finite_diff_check(lambda _: (embed_from_featuremap(fmap, params) * target).sum(), params.embed_w)
+        assert err < 1e-3
 
     def test_full_network_input_gradients(self):
         """A whole-network scalar passes finite differences on a small input."""
@@ -191,7 +197,13 @@ class TestEntries:
         with pytest.raises(DataFormatError, match="shape"):
             load_named_entries(params, entries)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_checkpoint_layout_is_pinned(self, mode):
+        """Entry names and their order, which fix the checkpoint and Adam layouts, never move."""
+        names = "\n".join(named_entries(build_backbone(BackboneConfig(attention_mode=mode), 0)))
+        assert hashlib.sha256(names.encode()).hexdigest() == LAYOUT_SHA256[mode]
+
     def test_parameter_names_unique(self):
         params = build_backbone(tiny_config(), 25)
-        names = [p.name for p in params.parameters()]
+        names = [p.name for p in parameters(params)]
         assert len(names) == len(set(names))

@@ -7,7 +7,6 @@ from mlareid.clustering import (
     PseudoLabels,
     cluster_summary,
     dbscan,
-    export_labels_csv,
     pairwise_cosine_distance,
 )
 from mlareid.errors import ContractError
@@ -101,7 +100,7 @@ class TestDbscan:
         d = np.ones((3, 3)) - np.eye(3)
         from mlareid.clustering import DistanceMatrix
 
-        out = dbscan(DistanceMatrix(3, d), eps=0.4, min_pts=2)
+        out = dbscan(DistanceMatrix(d), eps=0.4, min_pts=2)
         np.testing.assert_array_equal(out.labels, [-1, -1, -1])
         assert out.k == 0
 
@@ -116,7 +115,7 @@ class TestDbscan:
                 for b in group:
                     if a != b:
                         d[a, b] = 0.1
-        out = dbscan(DistanceMatrix(7, d), eps=0.4, min_pts=3)
+        out = dbscan(DistanceMatrix(d), eps=0.4, min_pts=3)
         np.testing.assert_array_equal(out.labels, [0, 0, 0, 1, 1, 1, -1])
         np.testing.assert_array_equal(out.labels, dbscan_closure_oracle(d, 0.4, 3))
 
@@ -134,7 +133,7 @@ class TestDbscan:
                         d[a, b] = 0.1
         for c in (2, 4):
             d[3, c] = d[c, 3] = 0.3
-        out = dbscan(DistanceMatrix(7, d), eps=0.4, min_pts=3)
+        out = dbscan(DistanceMatrix(d), eps=0.4, min_pts=3)
         assert out.labels[3] == out.labels[2]
         np.testing.assert_array_equal(out.labels, dbscan_closure_oracle(d, 0.4, 3))
 
@@ -188,7 +187,7 @@ class TestDbscan:
     def test_invalid_arguments(self):
         from mlareid.clustering import DistanceMatrix
 
-        dist = DistanceMatrix(2, np.zeros((2, 2)))
+        dist = DistanceMatrix(np.zeros((2, 2)))
         with pytest.raises(ContractError):
             dbscan(dist, 0.0, 4)
         with pytest.raises(ContractError):
@@ -215,14 +214,3 @@ class TestClusterSummary:
             stats = cluster_summary(out)
             assert stats.sizes.sum() + int((out.labels == -1).sum()) == out.labels.size
 
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        """The exported index,label rows read back to the same labels."""
-        labels = PseudoLabels(np.array([0, 1, -1, 0]), k=2)
-        path = tmp_path / "labels.csv"
-        export_labels_csv(labels, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,label"
-        parsed = [tuple(map(int, line.split(","))) for line in lines[1:]]
-        assert parsed == [(0, 0), (1, 1), (2, -1), (3, 0)]

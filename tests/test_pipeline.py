@@ -340,6 +340,20 @@ class TestRunTraining:
                 continue
             assert trained[key].tobytes() == value.tobytes(), key
 
+    def test_non_finite_loss_dumps_diagnostics_under_out(self, tiny_dataset, tmp_path, monkeypatch):
+        """A NaN loss aborts the run and leaves features, labels and lr in <out>/diagnostics."""
+        import mlareid.pipeline
+
+        data, eps = tiny_dataset
+        monkeypatch.setattr(mlareid.pipeline, "cluster_nce_loss", lambda *args: Tensor(np.nan))
+        out = tmp_path / "r"
+        with pytest.raises(ContractError, match="non-finite loss") as raised:
+            run_training(self.desk_cfg(eps, iters=1), data, out, backbone_cfg=tiny_backbone("all"))
+        dump = out / "diagnostics"
+        assert str(dump) in str(raised.value)
+        for name in ("features.csv", "labels.csv", "lr.txt"):
+            assert (dump / name).is_file(), name
+
     def test_mode_mismatch_on_resume_rejected(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=1)
