@@ -444,9 +444,11 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
     """2-D cross-correlation on NHWC input with an HWIO kernel.
 
     Output spatial extent is floor((dim + 2*pad - k)/stride) + 1. The
-    backward pass scatters through the same sliding windows the forward
-    contraction uses, so analytic gradients match the naive loop oracle
-    bit-for-bit up to float reassociation.
+    forward pass and the kernel gradient are one GEMM each over the same
+    im2col matrix of sliding windows, rebuilt in backward instead of kept
+    on the tape; the input gradient scatters one matmul per kernel tap
+    into the padded input. Analytic gradients match the naive loop oracle
+    up to float reassociation.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4:
@@ -476,14 +478,20 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
     padded = np.pad(x.data, ((0, 0), (zero_pad, zero_pad), (zero_pad, zero_pad), (0, 0)))
     # windows: [n, h_out, w_out, c_in, kh, kw]
     win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    data = np.tensordot(win, kernel.data, axes=((4, 5, 3), (0, 1, 2)))
+
+    def im2col() -> np.ndarray:
+        # [n*h_out*w_out, kh*kw*c_in], rows in output order, columns in kernel order
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c_in)
+
+    data = np.dot(im2col(), kernel.data.reshape(-1, c_out)).reshape(n, h_out, w_out, c_out)
     if b is not None:
         data = data + b.data
 
     def backward(g):
         if kernel.requires_grad:
-            gk = np.tensordot(win, g, axes=((0, 1, 2), (0, 1, 2)))  # [c_in,kh,kw,c_out]
-            _accumulate(kernel, gk.transpose(1, 2, 0, 3))
+            # recomputed rather than kept on the tape, which would hold it for the whole step
+            gk = np.dot(im2col().T, g.reshape(-1, c_out))
+            _accumulate(kernel, gk.reshape(kernel.shape))
         if x.requires_grad:
             gpad = np.zeros_like(padded)
             for a_off in range(kh):
@@ -587,9 +595,11 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     """Per-channel batch norm over all leading axes (channels last).
 
     Training mode normalizes by biased batch statistics and folds them into
-    the running stats; eval mode uses the frozen running stats in one
-    tape node whose forward works in place. The running update is state
-    mutation outside the tape.
+    the running stats; eval mode uses the frozen running stats. Each mode is
+    one tape node that repeats, in the same order, the arithmetic of the
+    elementwise ops it replaces (mean, sub, mul, sqrt, div, add), so values
+    and gradients are bit-equal to that composed chain without its
+    temporaries. The running update is state mutation outside the tape.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -598,12 +608,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
             f"batch_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match channel axis ({c},)"
         )
     bshape = (1,) * (x.ndim - 1) + (c,)
+    gam = gamma.data.reshape(bshape)
     if not training:
-        # One node doing the arithmetic of sub/mul/mul/add in their order, so
-        # values and gradients are bit-equal to that chain without its temporaries.
         rm = state.running_mean.reshape(bshape)
         scale = 1.0 / np.sqrt(state.running_var.reshape(bshape) + NORM_EPS)
-        gam = gamma.data.reshape(bshape)
         data = x.data - rm
         data *= scale
         data *= gam
@@ -618,17 +626,42 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
                 _accumulate(beta, _unbroadcast(g, bshape).reshape(c))
 
         return _make(data, (x, gamma, beta), backward)
-    g_r = reshape(gamma, bshape)
-    b_r = reshape(beta, bshape)
     axes = tuple(range(x.ndim - 1))
-    m = tmean(x, axis=axes, keepdims=True)
-    centered = sub(x, m)
-    v = tmean(mul(centered, centered), axis=axes, keepdims=True)
+    count = x.size // c
+    m = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - m
+    v = (centered * centered).mean(axis=axes, keepdims=True)
     mom = state.momentum
-    state.running_mean = (1.0 - mom) * state.running_mean + mom * m.data.reshape(c)
-    state.running_var = (1.0 - mom) * state.running_var + mom * v.data.reshape(c)
-    inv = div(1.0, sqrt(add(v, NORM_EPS)))
-    return add(mul(mul(centered, inv), g_r), b_r)
+    state.running_mean = (1.0 - mom) * state.running_mean + mom * m.reshape(c)
+    state.running_var = (1.0 - mom) * state.running_var + mom * v.reshape(c)
+    s = np.sqrt(v + NORM_EPS)
+    inv = 1.0 / s
+    data = centered * inv
+    data *= gam
+    data += beta.data.reshape(bshape)
+
+    def backward(g):
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, bshape).reshape(c))
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * (centered * inv), bshape).reshape(c))
+        if not x.requires_grad:
+            return
+        # The composed chain's backward, in tape order: through the scale
+        # 1/sqrt(v + eps), through both factors of centered*centered, then
+        # through the mean subtracted from x.
+        g_normed = g * gam
+        g_inv = _unbroadcast(g_normed * centered, bshape)
+        g_s = -g_inv / (s * s)
+        g_v = g_s * 0.5 / s
+        gx = g_normed * inv
+        t = centered * (g_v / count)
+        gx += t
+        gx += t
+        gx += _unbroadcast(-gx, bshape) / count
+        _accumulate(x, gx)
+
+    return _make(data, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------

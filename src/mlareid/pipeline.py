@@ -34,7 +34,7 @@ from .dataio import load_dataset, stack_pixels
 from .errors import ConfigError, ContractError, DataFormatError, EmptyClusteringError, EpochSkip
 from .layers import parameters
 
-REPORT_HEADER = "iter,K,noise_frac,mean_loss,lr,seconds"
+REPORT_HEADER = "iter,K,noise_frac,mean_loss,lr,skipped,batches,seconds"
 FEATURE_CHUNK = 32  # fixed eval-extraction batch so runs stay bit-comparable
 
 # per-iteration seed stream tags
@@ -130,13 +130,15 @@ class EpochReport:
     noise_frac: float
     mean_loss: float
     lr: float
+    skipped: bool  # no memory was built or an epoch had too few clusters
+    batches: int  # PK batches trained, also those before a skip
     seconds: float
-    skipped: bool = False
 
     def csv_row(self) -> str:
         return (
             f"{self.iteration},{self.k},{self.noise_frac:.17g},"
-            f"{self.mean_loss:.17g},{self.lr:.17g},{self.seconds:.6f}"
+            f"{self.mean_loss:.17g},{self.lr:.17g},{int(self.skipped)},{self.batches},"
+            f"{self.seconds:.6f}"
         )
 
 
@@ -279,6 +281,7 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     labels = dbscan(pairwise_cosine_distance(features), cfg.eps, cfg.min_pts)
     stats = cluster_summary(labels)
     lr = lr_at(state.epoch, cfg)
+    losses: list[float] = []
 
     def skip_report() -> EpochReport:
         state.iteration += 1
@@ -289,8 +292,9 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
             noise_frac=stats.noise_fraction,
             mean_loss=0.0,
             lr=lr,
-            seconds=time.perf_counter() - started,
             skipped=True,
+            batches=len(losses),
+            seconds=time.perf_counter() - started,
         )
 
     try:
@@ -301,7 +305,6 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     except EmptyClusteringError:
         return skip_report()
 
-    losses: list[float] = []
     params = parameters(state.backbone)
     for sub_epoch in range(cfg.epochs_per_iteration):
         global_epoch = state.epoch + sub_epoch
@@ -344,6 +347,8 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
         noise_frac=stats.noise_fraction,
         mean_loss=float(np.mean(losses)),
         lr=lr,
+        skipped=False,
+        batches=len(losses),
         seconds=time.perf_counter() - started,
     )
 

@@ -276,17 +276,23 @@ class TestCriterion6DeskOrdering:
         data = tmp_path / "desk"
         synth_generate(SynthSpec(**DESK_SPEC), data)
         scores: dict[tuple[str, int], float] = {}
+        trained: dict[tuple[str, int], str] = {}
         slowest = 0.0
         for mode in ("baseline", "hla", "all"):
             for seed in DESK_SEEDS:
                 t0 = time.perf_counter()
-                ck, _ = run_training(desk_config(mode, seed), data, tmp_path / f"{mode}_{seed}")
+                ck, reports = run_training(desk_config(mode, seed), data, tmp_path / f"{mode}_{seed}")
                 slowest = max(slowest, time.perf_counter() - t0)
                 scores[(mode, seed)] = desk_map(data, ck)
+                # printed next to the score, so a run that never trained shows
+                trained[(mode, seed)] = (
+                    f"{sum(r.batches for r in reports)} batches, {sum(r.skipped for r in reports)} skipped"
+                )
         all_wins = sum(scores[("all", s)] >= scores[("baseline", s)] for s in DESK_SEEDS)
         hla_under = sum(scores[("hla", s)] <= scores[("all", s)] for s in DESK_SEEDS)
         per_seed = "  ".join(
-            f"s{s}: b={scores[('baseline', s)]:.3f} h={scores[('hla', s)]:.3f} a={scores[('all', s)]:.3f}"
+            f"s{s}:"
+            + "".join(f" {m[0]}={scores[(m, s)]:.3f} [{trained[(m, s)]}]" for m in ("baseline", "hla", "all"))
             for s in DESK_SEEDS
         )
         ok = all_wins >= 4 and hla_under >= 4 and slowest < 600.0

@@ -262,12 +262,17 @@ class TestRunTraining:
     def test_report_csv_layout(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=2)
-        run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        ck, reports = run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
         lines = (tmp_path / "r" / "report.csv").read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "0" and len(first) == 6
+        rows = [dict(zip(REPORT_HEADER.split(","), line.split(","))) for line in lines[1:]]
+        assert all(len(line.split(",")) == 8 for line in lines[1:])
+        assert [r["iter"] for r in rows] == ["0", "1"]
+        assert [r["skipped"] for r in rows] == ["0", "0"]
+        assert [int(r["batches"]) for r in rows] == [r.batches for r in reports]
+        # every trained batch is one Adam step
+        assert sum(r.batches for r in reports) == int(load_checkpoint(ck)["optim.t"]) >= 2
 
     def test_two_runs_bit_identical(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
@@ -329,6 +334,9 @@ class TestRunTraining:
                                    backbone_cfg=tiny_backbone("all"))
         assert reports[0].skipped
         assert reports[0].mean_loss == 0.0
+        assert reports[0].batches == 0
+        row = (tmp_path / "r" / "report.csv").read_text().splitlines()[1]
+        assert dict(zip(REPORT_HEADER.split(","), row.split(",")))["skipped"] == "1"
         cfg0 = self.desk_cfg(eps, iters=0)
         ck0, _ = run_training(cfg0, data, tmp_path / "r0",
                               backbone_cfg=tiny_backbone("all"))

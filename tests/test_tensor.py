@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mlareid import autodiff as ad
 from mlareid.autodiff import (
@@ -158,6 +159,27 @@ class TestConv2d:
         err_k = finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), k0)
         err_b = finite_diff_check(lambda t: run(Tensor(x0), Tensor(k0), t), b0)
         assert err_x < 1e-6 and err_k < 1e-6 and err_b < 1e-6
+
+    @pytest.mark.parametrize("ksize,stride,c_in", [
+        (3, 1, 3), (3, 1, 16), (3, 1, 32), (3, 2, 3), (3, 2, 16), (3, 2, 32),
+        (1, 1, 16), (1, 2, 16),
+    ])
+    def test_kernel_gradient_is_bit_equal_to_tensordot(self, ksize, stride, c_in):
+        """Output and kernel gradient equal the tensordot contractions over the window view."""
+        rng = np.random.default_rng(ksize * 100 + stride * 10 + c_in)
+        pad = ksize // 2
+        x0 = rng.standard_normal((4, 16, 8, c_in))
+        k = Tensor(rng.standard_normal((ksize, ksize, c_in, 16)), requires_grad=True)
+        out = conv2d(Tensor(x0), k, stride=stride, zero_pad=pad)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+
+        padded = np.pad(x0, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        win = sliding_window_view(padded, (ksize, ksize), axis=(1, 2))[:, ::stride, ::stride]
+        want_out = np.tensordot(win, k.data, axes=((4, 5, 3), (0, 1, 2)))
+        want_gk = np.tensordot(win, g, axes=((0, 1, 2), (0, 1, 2))).transpose(1, 2, 0, 3)
+        assert out.data.tobytes() == np.ascontiguousarray(want_out).tobytes()
+        assert k.grad.tobytes() == np.ascontiguousarray(want_gk).tobytes()
 
 
 class TestMatmul:
@@ -327,20 +349,23 @@ class TestBatchNorm:
             batch_norm(Tensor(np.zeros((2, 2))), Tensor([1.0]), Tensor([0.0]), state, training=True)
 
     def test_training_gradients(self):
-        """Batch-norm input and affine gradients pass finite differences."""
+        """Batch-norm x, gamma and beta gradients of a weighted output pass finite differences.
+
+        The output is weighted by a fixed random tensor: the x-gradient of a
+        plain sum of batch-norm outputs is identically zero.
+        """
         rng = np.random.default_rng(14)
         x0 = rng.standard_normal((4, 3))
         g0 = rng.standard_normal(3)
         b0 = rng.standard_normal(3)
+        w = Tensor(rng.standard_normal(x0.shape))
 
-        def run_x(t):
-            return batch_norm(t, Tensor(g0), Tensor(b0), BatchNormState(3), training=True).sum()
+        def run(x, g, b):
+            return (batch_norm(x, g, b, BatchNormState(3), training=True) * w).sum()
 
-        def run_g(t):
-            return (batch_norm(Tensor(x0), t, Tensor(b0), BatchNormState(3), training=True) * Tensor(x0)).sum()
-
-        assert finite_diff_check(run_x, x0) < 1e-4
-        assert finite_diff_check(run_g, g0) < 1e-6
+        assert finite_diff_check(lambda t: run(t, Tensor(g0), Tensor(b0)), x0) < 1e-4
+        assert finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), g0) < 1e-6
+        assert finite_diff_check(lambda t: run(Tensor(x0), Tensor(g0), t), b0) < 1e-6
 
     def test_eval_gradients(self):
         """The eval-mode node's x, gamma and beta gradients pass finite differences."""
@@ -384,6 +409,46 @@ class TestBatchNorm:
             (out * w).sum().backward()
             results.append([a.tobytes() for a in (out.data, x.grad, g.grad, b.grad)])
         assert results[0] == results[1]
+
+    @staticmethod
+    def composed_train_chain(x, gamma, beta, state):
+        """Training-mode batch norm as the tape ops it was once built from."""
+        c = x.shape[-1]
+        bshape = (1,) * (x.ndim - 1) + (c,)
+        axes = tuple(range(x.ndim - 1))
+        m = ad.tmean(x, axis=axes, keepdims=True)
+        centered = ad.sub(x, m)
+        v = ad.tmean(ad.mul(centered, centered), axis=axes, keepdims=True)
+        mom = state.momentum
+        state.running_mean = (1.0 - mom) * state.running_mean + mom * m.data.reshape(c)
+        state.running_var = (1.0 - mom) * state.running_var + mom * v.data.reshape(c)
+        inv = ad.div(1.0, ad.sqrt(ad.add(v, ad.NORM_EPS)))
+        return ad.add(ad.mul(ad.mul(centered, inv), gamma.reshape(bshape)), beta.reshape(bshape))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 2, 3, 3), (2, 3, 2, 3), (16, 8, 4, 32)])
+    @pytest.mark.parametrize("affine_grad", [True, False], ids=["affine", "frozen-affine"])
+    def test_train_node_is_bit_equal_to_composed_ops(self, shape, affine_grad):
+        """Output, running stats and the x/gamma/beta gradients equal the composed chain bit for bit."""
+        rng = np.random.default_rng(19)
+        c = shape[-1]
+        w = Tensor(rng.standard_normal(shape))
+        x0, g0, b0 = rng.standard_normal(shape) * 3.0 + 1.0, rng.standard_normal(c), rng.standard_normal(c)
+        mean0, var0 = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+
+        def run(f):
+            state = BatchNormState(c)
+            state.running_mean, state.running_var = mean0.copy(), var0.copy()
+            x = Tensor(x0.copy(), requires_grad=True)
+            g, b = (Tensor(v.copy(), requires_grad=affine_grad) for v in (g0, b0))
+            out = f(x, g, b, state)
+            (out * w).sum().backward()
+            grads = [t.grad.tobytes() for t in (x, g, b) if t.requires_grad]
+            return [a.tobytes() for a in (out.data, state.running_mean, state.running_var)] + grads
+
+        want = run(self.composed_train_chain)
+        got = run(lambda x, g, b, state: batch_norm(x, g, b, state, training=True))
+        assert len(got) == (6 if affine_grad else 4)
+        assert got == want
 
 
 class TestNoGrad:
