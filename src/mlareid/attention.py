@@ -87,7 +87,6 @@ class MlaBlockParams:
     shortcut: Parameter | None  # [1,1,c_in,c_out] when projection needed
     bn_sc: BnParams | None
     stride: int
-    mode: str
 
 
 def init_pla(rng: np.random.Generator, c: int, name: str) -> PlaParams:
@@ -170,7 +169,6 @@ def init_mla_block(
         shortcut=shortcut,
         bn_sc=bn_sc,
         stride=stride,
-        mode=mode,
     )
 
 
@@ -232,18 +230,16 @@ def dla_forward(x: Tensor, p: DlaParams) -> Tensor:
 
 
 def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
-    """Reduce, run the middle stage of ``p.mode``, expand, add the shortcut."""
-    y = relu(p.bn1.apply(conv2d(x, p.reduce, stride=p.stride), training))
-    if p.mode == "baseline":
-        m = conv2d(y, p.conv_mid, zero_pad=1)
-    else:
-        m = y
-        if p.mode in ("pla", "pla+hla", "all"):
-            m = pla_forward(m, p.pla)
-        if p.mode in ("hla", "pla+hla", "all"):
-            m = hla_forward(m, p.hla)
-        if p.mode in ("dla", "all"):
-            m = dla_forward(m, p.dla)
+    """Reduce, run the middle stages ``p`` holds, expand, add the shortcut."""
+    m = relu(p.bn1.apply(conv2d(x, p.reduce, stride=p.stride), training))
+    if p.conv_mid is not None:
+        m = conv2d(m, p.conv_mid, zero_pad=1)
+    if p.pla is not None:
+        m = pla_forward(m, p.pla)
+    if p.hla is not None:
+        m = hla_forward(m, p.hla)
+    if p.dla is not None:
+        m = dla_forward(m, p.dla)
     m = relu(p.bn2.apply(m, training))
     z = p.bn3.apply(conv2d(m, p.expand), training)
     if p.shortcut is None:

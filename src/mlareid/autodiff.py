@@ -58,9 +58,6 @@ class Tensor:
         """A view of the same data with no tape participation."""
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Populate ``grad`` on every tensor reachable from this scalar.
 

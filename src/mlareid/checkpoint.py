@@ -32,7 +32,15 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray]) -> None:
         for extent in arr.shape:
             blob += struct.pack("<Q", extent)
         blob += arr.astype("<f8", copy=False).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    # A sibling temporary file renamed over the target, so an interrupted
+    # write leaves any earlier checkpoint intact.
+    path = Path(path)
+    staged = path.with_name(path.name + ".tmp")
+    try:
+        staged.write_bytes(bytes(blob))
+        staged.replace(path)
+    finally:
+        staged.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import MODES
 from .dataio import SynthSpec, load_dataset, stack_pixels, synth_generate
 from .errors import ContractError
 from .evalviz import evaluate, export_heatmap, grad_cam_heatmap, write_metrics_csv
@@ -31,6 +30,11 @@ from .verify import run_gradient_suite
 EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_IO = 2
+
+# Every TrainConfig field is a train flag, "--" plus its dashed name, but for two short names.
+_TRAIN_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(TrainConfig)} | {
+    "attention_mode": "--mode", "clustering_iterations": "--iterations"
+}
 
 
 class _UsageError(Exception):
@@ -73,12 +77,9 @@ def _cmd_synth(args) -> int:
 
 def _effective_train_config(args) -> TrainConfig:
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    overrides = [
-        f"{name} = {getattr(args, name)}"
-        for name in (f.name for f in fields(TrainConfig))
-        if getattr(args, name, None) is not None
-    ]
-    return apply_config_lines(cfg, overrides)
+    given = [f.name for f in fields(TrainConfig) if getattr(args, f.name) is not None]
+    lines = [f"{name} = {getattr(args, name)}" for name in given]
+    return apply_config_lines(cfg, lines, where=[_TRAIN_FLAGS[name] for name in given])
 
 
 def _cmd_train(args) -> int:
@@ -202,21 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key = value file of TrainConfig fields")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.add_argument("--mode", dest="attention_mode", choices=MODES, default=None)
-    p.add_argument("--seed", dest="seed", type=int, default=None)
-    p.add_argument("--iterations", dest="clustering_iterations", type=int, default=None)
-    p.add_argument("--epochs-per-iteration", dest="epochs_per_iteration", type=int, default=None)
-    p.add_argument("--batch-p", dest="batch_p", type=int, default=None)
-    p.add_argument("--batch-k", dest="batch_k", type=int, default=None)
-    p.add_argument("--lr0", dest="lr0", type=float, default=None)
-    p.add_argument("--lr-decay", dest="lr_decay", type=float, default=None)
-    p.add_argument("--lr-decay-every", dest="lr_decay_every", type=int, default=None)
-    p.add_argument("--eps", dest="eps", type=float, default=None)
-    p.add_argument("--min-pts", dest="min_pts", type=int, default=None)
-    p.add_argument("--tau", dest="tau", type=float, default=None)
-    p.add_argument("--mu", dest="mu", type=float, default=None)
-    p.add_argument("--augment", dest="augment", choices=("true", "false"), default=None)
-    p.add_argument("--bn-warmup-passes", dest="bn_warmup_passes", type=int, default=None)
+    for f in fields(TrainConfig):  # values are parsed and checked by apply_config_lines
+        p.add_argument(
+            _TRAIN_FLAGS[f.name], dest=f.name, metavar=f.type.upper(),
+            help=f"TrainConfig.{f.name} (default {f.default})",
+        )
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="retrieval metrics for a checkpoint")

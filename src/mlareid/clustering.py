@@ -15,7 +15,6 @@ from collections import deque
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError
 
 
@@ -39,7 +38,7 @@ class ClusterStats:
 
 def pairwise_cosine_distance(features) -> DistanceMatrix:
     """1 - f_i . f_j on unit-norm rows, clamped to [0,2], zero diagonal."""
-    f = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
+    f = np.asarray(features, dtype=np.float64)
     if not np.isfinite(f).all():
         raise ContractError("pairwise_cosine_distance: features contain non-finite values")
     d = 1.0 - f @ f.T

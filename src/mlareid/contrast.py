@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NORM_EPS, Tensor, add, exp, log, matmul, sub, tmean, tsum
-from .errors import ContractError, EmptyClusteringError
+from .errors import ContractError
 from .clustering import PseudoLabels
 
 
@@ -36,9 +36,9 @@ def init_memory(
     features, labels: PseudoLabels, seed: int, tau: float = 0.05, mu: float = 0.1
 ) -> MemoryDictionary:
     """One uniformly chosen member feature per cluster, in cluster-id order."""
-    f = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
+    f = np.asarray(features, dtype=np.float64)
     if labels.k == 0:
-        raise EmptyClusteringError("clustering produced no clusters; skip this epoch")
+        raise ContractError("init_memory: clustering produced no clusters")
     if tau <= 0:
         raise ContractError(f"tau must be positive, got {tau}")
     if not 0.0 <= mu <= 1.0:
@@ -82,11 +82,7 @@ def batch_hard_update(mem: MemoryDictionary, batch_features, batch_targets) -> N
     then renormalized to unit length. Clusters absent from the batch keep
     their representative bit-for-bit.
     """
-    f = (
-        batch_features.data
-        if isinstance(batch_features, Tensor)
-        else np.asarray(batch_features, dtype=np.float64)
-    )
+    f = np.asarray(batch_features, dtype=np.float64)
     targets = np.asarray(batch_targets)
     for cid in np.unique(targets):
         members = f[targets == cid]

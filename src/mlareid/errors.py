@@ -1,7 +1,9 @@
 """Exception taxonomy shared by every module.
 
 The CLI maps these onto exit codes: contract/dimension/config failures
-exit 1, I/O and data-format failures exit 2.
+exit 1, I/O and data-format failures exit 2. Too few clusters for a PK
+batch is not an error: ``pipeline.train_iteration`` checks it and skips
+the iteration.
 """
 
 
@@ -20,10 +22,3 @@ class ConfigError(ValueError):
 class DataFormatError(OSError):
     """An on-disk artifact (PPM image, manifest, checkpoint) is malformed."""
 
-
-class EmptyClusteringError(ContractError):
-    """Clustering produced zero clusters; the caller must skip the epoch."""
-
-
-class EpochSkip(Exception):
-    """Signal: the current epoch cannot be sampled (fewer clusters than P)."""

@@ -31,7 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import PseudoLabels, cluster_summary, dbscan, pairwise_cosine_distance
 from .contrast import MemoryDictionary, batch_hard_update, cluster_nce_loss, init_memory
 from .dataio import load_dataset, stack_pixels
-from .errors import ConfigError, ContractError, DataFormatError, EmptyClusteringError, EpochSkip
+from .errors import ConfigError, ContractError, DataFormatError
 from .layers import parameters
 
 REPORT_HEADER = "iter,K,noise_frac,mean_loss,lr,skipped,batches,seconds"
@@ -66,8 +66,8 @@ class TrainConfig:
             raise ConfigError("iteration counts must be non-negative (epochs at least 1)")
         if self.bn_warmup_passes < 0:
             raise ConfigError("bn_warmup_passes must be non-negative")
-        if self.batch_p * self.batch_k <= 1:
-            raise ConfigError("batch P*K must exceed 1")
+        if min(self.batch_p, self.batch_k) < 1 or self.batch_p * self.batch_k <= 1:
+            raise ConfigError("batch P and K must be at least 1 and P*K must exceed 1")
         if min(self.lr0, self.lr_decay, self.eps, self.tau) <= 0:
             raise ConfigError("lr0, lr_decay, eps and tau must be positive")
         if self.lr_decay_every < 1 or self.min_pts < 1:
@@ -84,26 +84,28 @@ class TrainConfig:
 
 
 def parse_config(path: str | Path) -> TrainConfig:
-    """Flat ``key = value`` lines; keys must be TrainConfig field names."""
+    """Flat ``key = value`` lines, ``#`` comments; keys must be TrainConfig field names."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-    return apply_config_lines(TrainConfig(), text.splitlines())
+    return apply_config_lines(TrainConfig(), [raw.split("#", 1)[0] for raw in text.splitlines()])
 
 
-def apply_config_lines(cfg: TrainConfig, lines) -> TrainConfig:
+def apply_config_lines(cfg: TrainConfig, lines, where=None) -> TrainConfig:
+    """Apply ``key = value`` lines, then validate; errors cite ``where[i]`` or "config line i+1"."""
     field_types = {f.name: f.type for f in fields(TrainConfig)}
     updates = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for i, raw in enumerate(lines):
+        at = where[i] if where is not None else f"config line {i + 1}"
+        line = raw.strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{at}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in field_types:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{at}: unknown key {key!r}")
         kind = field_types[key]
         try:
             if kind == "int":
@@ -117,7 +119,7 @@ def apply_config_lines(cfg: TrainConfig, lines) -> TrainConfig:
             else:
                 updates[key] = value
         except ValueError:
-            raise ConfigError(f"config line {lineno}: bad value {value!r} for {key!r}") from None
+            raise ConfigError(f"{at}: bad value {value!r} for {key!r}") from None
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg
@@ -130,8 +132,8 @@ class EpochReport:
     noise_frac: float
     mean_loss: float
     lr: float
-    skipped: bool  # no memory was built or an epoch had too few clusters
-    batches: int  # PK batches trained, also those before a skip
+    skipped: bool  # fewer than P clusters: no memory, no batch
+    batches: int  # PK batches trained, 0 when skipped
     seconds: float
 
     def csv_row(self) -> str:
@@ -157,7 +159,7 @@ def pk_sampler(labels: PseudoLabels, p: int, k_img: int, seed: int) -> list[np.n
     members (each appears at least once); noise never enters a batch.
     """
     if labels.k < p:
-        raise EpochSkip(f"only {labels.k} clusters for P={p}")
+        raise ContractError(f"pk_sampler: only {labels.k} clusters for P={p}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(labels.k)
     members_of = {cid: np.flatnonzero(labels.labels == cid) for cid in range(labels.k)}
@@ -272,7 +274,11 @@ def _dump_diagnostics(out_dir: Path, features: np.ndarray, labels: PseudoLabels,
 
 
 def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
-    """One clustering iteration: cluster, rebuild memory, train one pass."""
+    """One clustering iteration: cluster, rebuild memory, train one pass.
+
+    With fewer than P clusters there is no PK batch, so the iteration is
+    skipped: no memory is built and the parameters stay as they are.
+    """
     cfg = state.cfg
     started = time.perf_counter()
     iteration = state.iteration
@@ -280,74 +286,54 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     features = extract_all_features(state.pixels, state.backbone)
     labels = dbscan(pairwise_cosine_distance(features), cfg.eps, cfg.min_pts)
     stats = cluster_summary(labels)
+    skipped = stats.k < cfg.batch_p
     lr = lr_at(state.epoch, cfg)
     losses: list[float] = []
 
-    def skip_report() -> EpochReport:
-        state.iteration += 1
-        state.epoch += cfg.epochs_per_iteration
-        return EpochReport(
-            iteration=iteration,
-            k=stats.k,
-            noise_frac=stats.noise_fraction,
-            mean_loss=0.0,
-            lr=lr,
-            skipped=True,
-            batches=len(losses),
-            seconds=time.perf_counter() - started,
-        )
-
-    try:
+    if not skipped:
         memory = init_memory(
             features, labels, _derived_seed(cfg.seed, iteration, _TAG_MEMORY),
             tau=cfg.tau, mu=cfg.mu,
         )
-    except EmptyClusteringError:
-        return skip_report()
-
-    params = parameters(state.backbone)
-    for sub_epoch in range(cfg.epochs_per_iteration):
-        global_epoch = state.epoch + sub_epoch
-        lr = lr_at(global_epoch, cfg)
-        try:
+        params = parameters(state.backbone)
+        for sub_epoch in range(cfg.epochs_per_iteration):
+            lr = lr_at(state.epoch + sub_epoch, cfg)
             batches = pk_sampler(
                 labels, cfg.batch_p, cfg.batch_k,
                 _derived_seed(cfg.seed, iteration, sub_epoch, _TAG_SAMPLER),
             )
-        except EpochSkip:
-            return skip_report()
-        aug_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, iteration, sub_epoch, _TAG_AUGMENT])
-        )
-        for batch_idx in batches:
-            batch_pixels = state.pixels[batch_idx]
-            if cfg.augment:
-                batch_pixels = _augment_batch(batch_pixels, aug_rng)
-            targets = labels.labels[batch_idx]
-            feats = extract_features(Tensor(batch_pixels), state.backbone, training=True)
-            loss = cluster_nce_loss(feats, targets, memory)
-            if not np.isfinite(loss.item()):
-                where = _dump_diagnostics(out_dir, features, labels, lr)
-                raise ContractError(
-                    f"non-finite loss {loss.item()} at iteration {iteration}; "
-                    f"diagnostics written to {where}"
-                )
-            losses.append(loss.item())
-            zero_grads(params)
-            loss.backward()
-            adam_step(params, lr, state.optim)
-            batch_hard_update(memory, feats.detach(), targets)
+            aug_rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, iteration, sub_epoch, _TAG_AUGMENT])
+            )
+            for batch_idx in batches:
+                batch_pixels = state.pixels[batch_idx]
+                if cfg.augment:
+                    batch_pixels = _augment_batch(batch_pixels, aug_rng)
+                targets = labels.labels[batch_idx]
+                feats = extract_features(Tensor(batch_pixels), state.backbone, training=True)
+                loss = cluster_nce_loss(feats, targets, memory)
+                if not np.isfinite(loss.item()):
+                    where = _dump_diagnostics(out_dir, features, labels, lr)
+                    raise ContractError(
+                        f"non-finite loss {loss.item()} at iteration {iteration}; "
+                        f"diagnostics written to {where}"
+                    )
+                losses.append(loss.item())
+                zero_grads(params)
+                loss.backward()
+                adam_step(params, lr, state.optim)
+                batch_hard_update(memory, feats.data, targets)
+        state.memory = memory
 
-    state.memory = memory
     state.iteration += 1
     state.epoch += cfg.epochs_per_iteration
     return EpochReport(
         iteration=iteration,
         k=stats.k,
         noise_frac=stats.noise_fraction,
-        mean_loss=float(np.mean(losses)),
+        mean_loss=0.0 if skipped else float(np.mean(losses)),
         lr=lr,
-        skipped=False,
+        skipped=skipped,
         batches=len(losses),
         seconds=time.perf_counter() - started,
     )

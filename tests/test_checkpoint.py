@@ -1,6 +1,7 @@
 """Binary checkpoint round-trips and corruption handling."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,26 @@ class TestRoundTrip:
         expect += struct.pack("<I", 2) + struct.pack("<Q", 1) + struct.pack("<Q", 2)
         expect += np.array([1.0, 2.0]).astype("<f8").tobytes()
         assert raw == expect
+
+
+class TestAtomicWrite:
+    def test_interrupted_write_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        """A write that dies halfway leaves the old file byte-equal and no temp file."""
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"w": np.arange(4.0)})
+        before = path.read_bytes()
+        real_write_bytes = Path.write_bytes
+
+        def write_half_then_fail(self, data):
+            real_write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.arange(100.0)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
 class TestCorruption:

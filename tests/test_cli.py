@@ -1,9 +1,11 @@
 """CLI contract tests: dispatch, exit codes, config echo, determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from mlareid.cli import main
+from mlareid.cli import build_parser, main
 from mlareid.dataio import read_ppm
 
 
@@ -105,6 +107,42 @@ class TestTrain:
         ])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_bad_flag_value_exits_one_naming_the_key(self, workspace, tmp_path, capsys):
+        code = main([
+            "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+            "--iterations", "0", "--min-pts", "four",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--min-pts: bad value 'four' for 'min_pts'" in err
+        assert "config line" not in err
+        # a flag value is never cut at a "#" the way a config-file line is
+        assert main([
+            "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+            "--iterations", "0", "--mode", "all#pla",
+        ]) == 1
+        assert "'all#pla'" in capsys.readouterr().err
+
+    def test_negative_batch_sizes_exit_one(self, workspace, tmp_path, capsys):
+        code = main([
+            "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+            "--iterations", "0", "--batch-p", "-2", "--batch-k", "-2",
+        ])
+        assert code == 1
+        assert "batch P and K" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_flags_are_the_config_fields_plus_four(self):
+        """One flag per TrainConfig field (two with short names) plus data, out, config, resume."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices["train"]._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == {
+            "--data", "--out", "--config", "--resume",
+            "--mode", "--seed", "--iterations", "--epochs-per-iteration", "--batch-p",
+            "--batch-k", "--lr0", "--lr-decay", "--lr-decay-every", "--eps", "--min-pts",
+            "--tau", "--mu", "--augment", "--bn-warmup-passes",
+        }
 
     def test_outputs_under_run_dir(self, workspace):
         run = workspace / "run"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlareid.backbone import BackboneConfig, build_backbone, forward_to_featuremap
-from mlareid.autodiff import Tensor, global_avg_pool
+from mlareid.autodiff import Tensor, global_avg_pool, zero_grads
 from mlareid.contrast import MemoryDictionary
 from mlareid.dataio import ImageRecord, read_ppm
 from mlareid.errors import ContractError
@@ -233,8 +233,7 @@ class TestGradCam:
         projected = global_avg_pool(fmap) @ params.embed_w + params.embed_b
         (projected * projected).sum().backward()
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
-        for p in parameters(params):
-            p.zero_grad()
+        zero_grads(parameters(params))
         hm = grad_cam_heatmap(record, params)
         assert all(p.grad is None for p in parameters(params))
         assert hm.grid.tobytes() == expect.tobytes()

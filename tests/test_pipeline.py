@@ -1,5 +1,7 @@
 """Training-loop tests: sampler contracts, LR schedule, Adam, resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,14 @@ from mlareid.backbone import BackboneConfig, named_entries
 from mlareid.checkpoint import load_checkpoint
 from mlareid.clustering import PseudoLabels
 from mlareid.dataio import SynthSpec, synth_generate
-from mlareid.errors import ConfigError, ContractError, EpochSkip
+from mlareid.errors import ConfigError, ContractError
 from mlareid.attention import MODES
 from mlareid.autodiff import Parameter, Tensor
 from mlareid.pipeline import (
     REPORT_HEADER,
     AdamState,
     TrainConfig,
+    _augment_batch,
     adam_step,
     apply_config_lines,
     lr_at,
@@ -116,9 +119,9 @@ class TestPkSampler:
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
 
-    def test_too_few_clusters_skips(self):
+    def test_too_few_clusters_rejected(self):
         pl = labels_of([0, 0, 0, 1, 1, 1])
-        with pytest.raises(EpochSkip):
+        with pytest.raises(ContractError, match="P=3"):
             pk_sampler(pl, p=3, k_img=2, seed=0)
 
 
@@ -222,7 +225,10 @@ class TestConfig:
             apply_config_lines(TrainConfig(), ["min_pts = four"])
 
     def test_invalid_combinations_rejected(self):
-        for line in ("batch_p = 1\nbatch_k = 1", "tau = 0", "mu = 1.5", "attention_mode = cnn"):
+        for line in (
+            "batch_p = 1\nbatch_k = 1", "batch_p = -2\nbatch_k = -2",
+            "tau = 0", "mu = 1.5", "attention_mode = cnn",
+        ):
             with pytest.raises(ConfigError):
                 apply_config_lines(TrainConfig(), line.splitlines())
 
@@ -362,6 +368,23 @@ class TestRunTraining:
         for name in ("features.csv", "labels.csv", "lr.txt"):
             assert (dump / name).is_file(), name
 
+    def test_augmented_runs_replay_and_resume_bit_identical(self, tiny_dataset, tmp_path):
+        data, eps = tiny_dataset
+
+        def run(name, iters, augment=True, **kwargs):
+            cfg = replace(self.desk_cfg(eps, iters=iters), augment=augment)
+            ck, reports = run_training(cfg, data, tmp_path / name, **kwargs)
+            assert sum(r.batches for r in reports) >= 1
+            return ck.read_bytes()
+
+        straight = run("a", 3, backbone_cfg=tiny_backbone("all"))
+        assert run("b", 3, backbone_cfg=tiny_backbone("all")) == straight
+        run("resumed", 1, backbone_cfg=tiny_backbone("all"))
+        resumed = run("resumed", 3, resume_from=tmp_path / "resumed" / "checkpoint.bin")
+        assert resumed == straight
+        # augmentation reached the trained batches
+        assert run("plain", 3, augment=False, backbone_cfg=tiny_backbone("all")) != straight
+
     def test_mode_mismatch_on_resume_rejected(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=1)
@@ -381,6 +404,29 @@ class TestRunTraining:
         assert any(k.startswith("optim.m.") for k in entries)
         assert "meta.attention_mode" in entries
         assert int(entries["pipeline.iteration"]) == 1
+
+
+class TestAugmentBatch:
+    def test_each_image_is_an_edge_padded_crop_of_itself_or_its_mirror(self):
+        pixels = np.random.default_rng(0).uniform(size=(12, 6, 5, 3))
+        pad = 2
+        out = _augment_batch(pixels, np.random.default_rng(1), pad=pad)
+        assert out.shape == pixels.shape
+        rows, cols = np.arange(6), np.arange(5)
+        mirrored = 0
+        for img, aug in zip(pixels, out):
+            crops = {}
+            for flip, src in ((False, img), (True, img[:, ::-1, :])):
+                for dy in range(2 * pad + 1):
+                    for dx in range(2 * pad + 1):
+                        r = np.clip(rows + dy - pad, 0, 5)
+                        c = np.clip(cols + dx - pad, 0, 4)
+                        crops.setdefault(src[np.ix_(r, c)].tobytes(), flip)
+            assert aug.tobytes() in crops
+            mirrored += crops[aug.tobytes()]
+        assert 0 < mirrored < len(pixels)
+        again = _augment_batch(pixels, np.random.default_rng(1), pad=pad)
+        assert again.tobytes() == out.tobytes()
 
 
 class TestTapeFreeExtraction:

@@ -20,6 +20,7 @@ from mlareid.autodiff import (
     relu,
     sigmoid,
     softmax,
+    zero_grads,
 )
 from mlareid.errors import ContractError, DimensionError
 
@@ -535,7 +536,7 @@ class TestBackward:
         (x * x).sum().backward()
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
-        x.zero_grad()
+        zero_grads([x])
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
