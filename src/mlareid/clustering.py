@@ -36,13 +36,36 @@ class ClusterStats:
     noise_fraction: float
 
 
+DISTANCE_BLOCK = 128  # edge of the square tiles symmetrised in place
+
+
 def pairwise_cosine_distance(features) -> DistanceMatrix:
-    """1 - f_i . f_j on unit-norm rows, clamped to [0,2], zero diagonal."""
+    """1 - f_i . f_j on unit-norm rows, symmetrised, clamped to [0,2], zero diagonal.
+
+    The one n x n buffer is the ``f @ f.T`` product, turned into distances
+    in place one tile pair (i <= j) at a time: both tiles' ``1 - g`` go to
+    block-sized scratch before either is written, so diagonal tiles need
+    no special case. Each entry gets ``clip(((1-g_ij) + (1-g_ji)) / 2, 0, 2)``,
+    the same bytes as the whole-matrix formula, whatever the BLAS.
+    """
     f = np.asarray(features, dtype=np.float64)
     if not np.isfinite(f).all():
         raise ContractError("pairwise_cosine_distance: features contain non-finite values")
-    d = 1.0 - f @ f.T
-    d = np.clip((d + d.T) / 2.0, 0.0, 2.0)  # symmetrize away roundoff skew
+    d = f @ f.T
+    n = d.shape[0]
+    edge = min(DISTANCE_BLOCK, n)
+    scratch_a, scratch_b = np.empty((2, edge, edge))
+    for i in range(0, n, DISTANCE_BLOCK):
+        for j in range(i, n, DISTANCE_BLOCK):
+            upper = d[i:i + DISTANCE_BLOCK, j:j + DISTANCE_BLOCK]
+            lower = d[j:j + DISTANCE_BLOCK, i:i + DISTANCE_BLOCK]
+            rows, cols = upper.shape
+            a = np.subtract(1.0, upper, out=scratch_a[:rows, :cols])
+            b = np.subtract(1.0, lower.T, out=scratch_b[:rows, :cols])
+            a += b  # symmetrize away roundoff skew
+            a /= 2.0
+            np.clip(a, 0.0, 2.0, out=upper)
+            lower[...] = upper.T
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(d=d)
 

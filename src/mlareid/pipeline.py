@@ -264,11 +264,15 @@ def _augment_batch(pixels: np.ndarray, rng: np.random.Generator, pad: int = 2) -
     return out
 
 
-def _dump_diagnostics(out_dir: Path, features: np.ndarray, labels: PseudoLabels, lr: float) -> Path:
+def _dump_diagnostics(
+    out_dir: Path, features: np.ndarray, labels: PseudoLabels | None, lr: float
+) -> Path:
+    """Write what a failed iteration saw; ``labels`` is None before clustering."""
     dump = out_dir / "diagnostics"
     dump.mkdir(parents=True, exist_ok=True)
     np.savetxt(dump / "features.csv", features, delimiter=",")
-    np.savetxt(dump / "labels.csv", labels.labels, fmt="%d", delimiter=",")
+    if labels is not None:
+        np.savetxt(dump / "labels.csv", labels.labels, fmt="%d", delimiter=",")
     (dump / "lr.txt").write_text(f"{lr:.17g}\n")
     return dump
 
@@ -284,10 +288,15 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     iteration = state.iteration
 
     features = extract_all_features(state.pixels, state.backbone)
+    lr = lr_at(state.epoch, cfg)
+    if not np.isfinite(features).all():
+        where = _dump_diagnostics(out_dir, features, None, lr)
+        raise ContractError(
+            f"non-finite features at iteration {iteration}; diagnostics written to {where}"
+        )
     labels = dbscan(pairwise_cosine_distance(features), cfg.eps, cfg.min_pts)
     stats = cluster_summary(labels)
     skipped = stats.k < cfg.batch_p
-    lr = lr_at(state.epoch, cfg)
     losses: list[float] = []
 
     if not skipped:

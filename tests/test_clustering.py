@@ -1,9 +1,12 @@
 """DBSCAN against a transitive-closure oracle, plus distance contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mlareid.clustering import (
+    DISTANCE_BLOCK,
     PseudoLabels,
     cluster_summary,
     dbscan,
@@ -85,6 +88,38 @@ class TestPairwiseCosineDistance:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError, match="non-finite"):
             pairwise_cosine_distance(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, DISTANCE_BLOCK - 1, DISTANCE_BLOCK, DISTANCE_BLOCK + 1, 600]
+    )
+    def test_bytes_equal_whole_matrix_formula(self, n):
+        """The tiled in-place distances equal the whole-matrix formula byte for byte."""
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((n, 16))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        before = f.tobytes()
+        g = 1.0 - f @ f.T
+        want = np.clip((g + g.T) / 2.0, 0.0, 2.0)
+        np.fill_diagonal(want, 0.0)
+        got = pairwise_cosine_distance(f).d
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert f.tobytes() == before
+
+    def test_peak_memory_is_one_matrix(self):
+        """Only the n x n result plus block-sized scratch is alive at the peak."""
+        n = 1500
+        f = np.random.default_rng(0).standard_normal((n, 64))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dist = pairwise_cosine_distance(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.d.shape == (n, n)
+        assert peak <= 1.25 * n * n * 8, peak / (n * n * 8)
 
 
 class TestDbscan:

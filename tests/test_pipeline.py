@@ -368,6 +368,29 @@ class TestRunTraining:
         for name in ("features.csv", "labels.csv", "lr.txt"):
             assert (dump / name).is_file(), name
 
+    def test_non_finite_features_dump_diagnostics_under_out(self, tiny_dataset, tmp_path, monkeypatch):
+        """A NaN feature row aborts before clustering and leaves features and lr in <out>/diagnostics."""
+        import mlareid.pipeline
+
+        real_extract = mlareid.pipeline.extract_all_features
+
+        def extract_with_nan_row(*args):
+            features = real_extract(*args)
+            features[1] = np.nan
+            return features
+
+        data, eps = tiny_dataset
+        monkeypatch.setattr(mlareid.pipeline, "extract_all_features", extract_with_nan_row)
+        out = tmp_path / "r"
+        with pytest.raises(ContractError, match="non-finite features") as raised:
+            run_training(self.desk_cfg(eps, iters=1), data, out, backbone_cfg=tiny_backbone("all"))
+        dump = out / "diagnostics"
+        assert str(dump) in str(raised.value)
+        for name in ("features.csv", "lr.txt"):
+            assert (dump / name).is_file(), name
+        assert not (dump / "labels.csv").exists()
+        assert np.isnan(np.loadtxt(dump / "features.csv", delimiter=",")[1]).all()
+
     def test_augmented_runs_replay_and_resume_bit_identical(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
 
