@@ -26,8 +26,6 @@ from .errors import ContractError, DimensionError
 
 NORM_EPS = 1e-12  # inside l1/l2 norms and batch-norm variance
 
-ArrayLike = "np.ndarray | float | int | list | Tensor"
-
 
 class Tensor:
     """An n-dimensional float64 array with optional gradient tape participation."""

@@ -20,6 +20,7 @@ from .evalviz import evaluate, export_heatmap, grad_cam_heatmap, write_metrics_c
 from .pipeline import (
     TrainConfig,
     apply_config_lines,
+    config_lines,
     extract_all_features,
     load_backbone_from_checkpoint,
     parse_config,
@@ -69,7 +70,7 @@ def _cmd_synth(args) -> int:
         jitter_px=args.jitter_px,
         seed=args.seed,
     )
-    _echo("synth spec", [f"{f.name} = {getattr(spec, f.name)}" for f in fields(spec)])
+    _echo("synth spec", config_lines(spec))
     records = synth_generate(spec, args.out)
     print(f"wrote {len(records)} images under {args.out}")
     return EXIT_OK
@@ -84,7 +85,7 @@ def _effective_train_config(args) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     cfg = _effective_train_config(args)
-    _echo("train config", cfg.echo_lines())
+    _echo("train config", config_lines(cfg))
     data = Path(args.data)
     if not data.is_dir():
         raise FileNotFoundError(f"data directory {data} does not exist")

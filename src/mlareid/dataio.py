@@ -58,6 +58,9 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        non_finite = [k for k, v in vars(self).items() if isinstance(v, float) and not math.isfinite(v)]
+        if non_finite:
+            raise ConfigError(f"{', '.join(non_finite)} must be finite")
         if self.num_ids < 2:
             raise ConfigError("num_ids must be at least 2")
         if self.num_cameras < 2:

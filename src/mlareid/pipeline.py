@@ -6,11 +6,16 @@ one (configurable) pass of PK batches: forward in train mode, ClusterNCE
 loss, Adam step, batch-hard memory update. Per-iteration randomness (the
 memory pick, the batch order, augmentation) is derived from
 (seed, iteration), so resuming from a checkpoint written at an iteration
-boundary replays the remaining iterations bit-for-bit.
+boundary replays the remaining iterations bit-for-bit. ``run_training``
+writes ``checkpoint.bin`` after every iteration: parameters, running stats,
+Adam state, the last memory centroids, the iteration count, and the run's
+config as ``config_lines`` text (``meta.backbone``, ``meta.train``). A
+resume refuses any config change but a larger ``clustering_iterations``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -42,6 +47,8 @@ _TAG_MEMORY = 1
 _TAG_SAMPLER = 2
 _TAG_AUGMENT = 3
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -62,6 +69,9 @@ class TrainConfig:
     bn_warmup_passes: int = 2
 
     def validate(self) -> None:
+        non_finite = [k for k, v in vars(self).items() if isinstance(v, float) and not math.isfinite(v)]
+        if non_finite:
+            raise ConfigError(f"{', '.join(non_finite)} must be finite")
         if self.clustering_iterations < 0 or self.epochs_per_iteration < 1:
             raise ConfigError("iteration counts must be non-negative (epochs at least 1)")
         if self.bn_warmup_passes < 0:
@@ -79,8 +89,10 @@ class TrainConfig:
                 f"unknown attention mode {self.attention_mode!r}, expected one of {MODES}"
             )
 
-    def echo_lines(self) -> list[str]:
-        return [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
+
+def config_lines(cfg) -> list[str]:
+    """One ``key = value`` line per field of a config dataclass; apply_config_lines reads them."""
+    return [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
 
 
 def parse_config(path: str | Path) -> TrainConfig:
@@ -92,9 +104,12 @@ def parse_config(path: str | Path) -> TrainConfig:
     return apply_config_lines(TrainConfig(), [raw.split("#", 1)[0] for raw in text.splitlines()])
 
 
-def apply_config_lines(cfg: TrainConfig, lines, where=None) -> TrainConfig:
-    """Apply ``key = value`` lines, then validate; errors cite ``where[i]`` or "config line i+1"."""
-    field_types = {f.name: f.type for f in fields(TrainConfig)}
+def apply_config_lines(cfg, lines, where=None):
+    """Set fields of a config dataclass from ``key = value`` lines, then validate.
+
+    Tuples are comma-separated ints; errors cite ``where[i]`` or "config line i+1".
+    """
+    field_types = {f.name: f.type for f in fields(cfg)}
     updates = {}
     for i, raw in enumerate(lines):
         at = where[i] if where is not None else f"config line {i + 1}"
@@ -116,6 +131,8 @@ def apply_config_lines(cfg: TrainConfig, lines, where=None) -> TrainConfig:
                 if value.lower() not in ("true", "false"):
                     raise ValueError(value)
                 updates[key] = value.lower() == "true"
+            elif kind.startswith("tuple"):
+                updates[key] = tuple(int(v) for v in value.strip("()").split(",") if v.strip())
             else:
                 updates[key] = value
         except ValueError:
@@ -190,14 +207,7 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: list[Parameter],
-    lr: float,
-    state: AdamState,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: list[Parameter], lr: float, state: AdamState) -> None:
     """Standard bias-corrected Adam; a missing gradient counts as zero."""
     state.t += 1
     t = state.t
@@ -208,13 +218,13 @@ def adam_step(
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         state.m[p.name] = m
         state.v[p.name] = v
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -224,7 +234,6 @@ class RunState:
     optim: AdamState
     pixels: np.ndarray  # train-split images [n,h,w,3]
     iteration: int = 0  # completed clustering iterations
-    epoch: int = 0  # completed global epochs (drives the LR schedule)
     memory: MemoryDictionary | None = None
 
 
@@ -286,9 +295,10 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     cfg = state.cfg
     started = time.perf_counter()
     iteration = state.iteration
+    epoch = iteration * cfg.epochs_per_iteration  # completed global epochs
 
     features = extract_all_features(state.pixels, state.backbone)
-    lr = lr_at(state.epoch, cfg)
+    lr = lr_at(epoch, cfg)
     if not np.isfinite(features).all():
         where = _dump_diagnostics(out_dir, features, None, lr)
         raise ContractError(
@@ -306,7 +316,7 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
         )
         params = parameters(state.backbone)
         for sub_epoch in range(cfg.epochs_per_iteration):
-            lr = lr_at(state.epoch + sub_epoch, cfg)
+            lr = lr_at(epoch + sub_epoch, cfg)
             batches = pk_sampler(
                 labels, cfg.batch_p, cfg.batch_k,
                 _derived_seed(cfg.seed, iteration, sub_epoch, _TAG_SAMPLER),
@@ -335,7 +345,6 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
         state.memory = memory
 
     state.iteration += 1
-    state.epoch += cfg.epochs_per_iteration
     return EpochReport(
         iteration=iteration,
         k=stats.k,
@@ -352,17 +361,22 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
 # checkpoint binding
 # ---------------------------------------------------------------------------
 
-def _meta_entries(state: RunState) -> dict[str, np.ndarray]:
-    cfg = state.backbone.cfg
-    return {
-        "meta.attention_mode": np.array(float(MODES.index(cfg.attention_mode))),
-        "meta.input_hw": np.array(cfg.input_hw, dtype=np.float64),
-        "meta.stage_channels": np.array(cfg.stage_channels, dtype=np.float64),
-        "meta.blocks_per_stage": np.array(cfg.blocks_per_stage, dtype=np.float64),
-        "meta.embed_dim": np.array(float(cfg.embed_dim)),
-        "meta.heads": np.array(float(cfg.heads)),
-        "meta.seed": np.array(float(state.cfg.seed)),
-    }
+def _stored_config(entries: dict[str, np.ndarray], name: str, default, path):
+    """The config stored as ``config_lines`` text under ``name``, applied to ``default``."""
+    if name not in entries:
+        raise DataFormatError(f"checkpoint {path} lacks {name!r}")
+    lines = entries[name].astype(np.uint8).tobytes().decode("utf-8").splitlines()
+    where = [f"checkpoint {path} {name} line {i + 1}" for i in range(len(lines))]
+    return apply_config_lines(default, lines, where)
+
+
+def _refuse_changes(what: str, stored, given, may_grow: str | None = None) -> None:
+    """ConfigError naming every field of ``given`` that differs from the checkpoint's."""
+    old, new = vars(stored), vars(given)
+    changed = [f"{k} (checkpoint {old[k]!r}, given {new[k]!r})" for k in old
+               if new[k] != old[k] and not (k == may_grow and new[k] > old[k])]
+    if changed:
+        raise ConfigError(f"{what} differs from the checkpoint's: {', '.join(changed)}")
 
 
 def save_run_checkpoint(path: str | Path, state: RunState) -> None:
@@ -374,11 +388,10 @@ def save_run_checkpoint(path: str | Path, state: RunState) -> None:
     entries["optim.t"] = np.array(float(state.optim.t))
     if state.memory is not None:
         entries["memory.centroids"] = state.memory.centroids
-        entries["memory.tau"] = np.array(state.memory.tau)
-        entries["memory.mu"] = np.array(state.memory.mu)
     entries["pipeline.iteration"] = np.array(float(state.iteration))
-    entries["pipeline.epoch"] = np.array(float(state.epoch))
-    entries.update(_meta_entries(state))
+    for name, cfg in (("meta.backbone", state.backbone.cfg), ("meta.train", state.cfg)):
+        text = "\n".join(config_lines(cfg)).encode("utf-8")  # float64 bytes round-trip exactly
+        entries[name] = np.frombuffer(text, np.uint8).astype(np.float64)
     save_checkpoint(path, entries)
 
 
@@ -387,41 +400,24 @@ def load_backbone_from_checkpoint(
 ) -> tuple[BackboneParams, MemoryDictionary | None, dict[str, np.ndarray]]:
     """Rebuild the backbone (and final memory, if saved) from a checkpoint."""
     entries = load_checkpoint(path)
-    for required in ("meta.attention_mode", "pipeline.iteration", "meta.seed"):
-        if required not in entries:
-            raise DataFormatError(f"checkpoint {path} lacks {required!r}")
-    bb_cfg = BackboneConfig(
-        input_hw=tuple(int(v) for v in entries["meta.input_hw"]),
-        stage_channels=tuple(int(v) for v in entries["meta.stage_channels"]),
-        blocks_per_stage=tuple(int(v) for v in entries["meta.blocks_per_stage"]),
-        embed_dim=int(entries["meta.embed_dim"]),
-        attention_mode=MODES[int(entries["meta.attention_mode"])],
-        heads=int(entries["meta.heads"]),
+    train_cfg = _stored_config(entries, "meta.train", TrainConfig(), path)
+    backbone = build_backbone(
+        _stored_config(entries, "meta.backbone", BackboneConfig(), path), train_cfg.seed
     )
-    backbone = build_backbone(bb_cfg, int(entries["meta.seed"]))
     load_named_entries(backbone, entries)
     memory = None
     if "memory.centroids" in entries:
         memory = MemoryDictionary(
-            centroids=entries["memory.centroids"].copy(),
-            tau=float(entries["memory.tau"]),
-            mu=float(entries["memory.mu"]),
+            centroids=entries["memory.centroids"].copy(), tau=train_cfg.tau, mu=train_cfg.mu
         )
     return backbone, memory, entries
 
 
 def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) -> RunState:
-    """Rebuild a RunState (backbone, optimizer, counters) from a checkpoint."""
+    """Rebuild a RunState from a checkpoint whose TrainConfig ``cfg`` matches."""
     backbone, memory, entries = load_backbone_from_checkpoint(path)
-    if backbone.cfg.attention_mode != cfg.attention_mode:
-        raise ConfigError(
-            f"checkpoint was trained with attention_mode={backbone.cfg.attention_mode!r}, "
-            f"config says {cfg.attention_mode!r}"
-        )
-    if int(entries["meta.seed"]) != cfg.seed:
-        raise ConfigError(
-            f"checkpoint seed {int(entries['meta.seed'])} differs from config seed {cfg.seed}"
-        )
+    stored = _stored_config(entries, "meta.train", TrainConfig(), path)
+    _refuse_changes("train config", stored, cfg, may_grow="clustering_iterations")
 
     optim = AdamState()
     optim.t = int(entries["optim.t"]) if "optim.t" in entries else 0
@@ -437,7 +433,6 @@ def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) 
         optim=optim,
         pixels=pixels,
         iteration=int(entries["pipeline.iteration"]),
-        epoch=int(entries["pipeline.epoch"]),
         memory=memory,
     )
 
@@ -449,7 +444,7 @@ def run_training(
     backbone_cfg: BackboneConfig | None = None,
     resume_from: str | Path | None = None,
 ) -> tuple[Path, list[EpochReport]]:
-    """Train for cfg.clustering_iterations, writing checkpoint.bin and report.csv."""
+    """Train for cfg.clustering_iterations, writing report.csv and checkpoint.bin."""
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -460,6 +455,8 @@ def run_training(
 
     if resume_from is not None:
         state = load_run_checkpoint(resume_from, cfg, pixels)
+        if backbone_cfg is not None:
+            _refuse_changes("backbone_cfg", state.backbone.cfg, backbone_cfg)
     else:
         if backbone_cfg is None:
             backbone_cfg = BackboneConfig(
@@ -494,6 +491,7 @@ def run_training(
     staged = report_path.with_name(report_path.name + ".tmp")
     staged.write_text("".join(line + "\n" for line in kept))
     staged.replace(report_path)
+    checkpoint_path = out / "checkpoint.bin"
     reports: list[EpochReport] = []
     with open(report_path, "a") as log:
         while state.iteration < cfg.clustering_iterations:
@@ -501,7 +499,7 @@ def run_training(
             reports.append(report)
             log.write(report.csv_row() + "\n")
             log.flush()
-
-    checkpoint_path = out / "checkpoint.bin"
-    save_run_checkpoint(checkpoint_path, state)
+            save_run_checkpoint(checkpoint_path, state)
+    if not reports:
+        save_run_checkpoint(checkpoint_path, state)
     return checkpoint_path, reports

@@ -186,8 +186,6 @@ _CHECKS = {
     "cluster_nce_loss": _check_cluster_nce,
 }
 
-CHECK_NAMES = tuple(_CHECKS)
-
 
 def run_gradient_suite(seeds=(0, 1, 2, 3, 4), tolerance: float = 1e-4) -> list[GradCheckResult]:
     """Every named check at every seed; results carry the worst element error."""

@@ -174,6 +174,8 @@ class TestSynthGenerate:
             dict(background_strength=1.5),
             dict(image_hw=(8, 8)),
             dict(jitter_px=-1),
+            dict(noise_sigma=float("nan")),
+            dict(noise_sigma=float("inf")),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs, tmp_path):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mlareid.backbone import BackboneConfig, named_entries
-from mlareid.checkpoint import load_checkpoint
+from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.clustering import PseudoLabels
 from mlareid.dataio import SynthSpec, synth_generate
-from mlareid.errors import ConfigError, ContractError
+from mlareid.errors import ConfigError, ContractError, DataFormatError
 from mlareid.attention import MODES
 from mlareid.autodiff import Parameter, Tensor
 from mlareid.pipeline import (
@@ -19,6 +19,8 @@ from mlareid.pipeline import (
     _augment_batch,
     adam_step,
     apply_config_lines,
+    config_lines,
+    load_backbone_from_checkpoint,
     lr_at,
     parse_config,
     pk_sampler,
@@ -228,13 +230,18 @@ class TestConfig:
         for line in (
             "batch_p = 1\nbatch_k = 1", "batch_p = -2\nbatch_k = -2",
             "tau = 0", "mu = 1.5", "attention_mode = cnn",
+            "lr0 = nan", "eps = nan", "tau = inf", "lr_decay = nan",
         ):
             with pytest.raises(ConfigError):
                 apply_config_lines(TrainConfig(), line.splitlines())
 
-    def test_echo_lines_roundtrip(self):
+    def test_config_lines_roundtrip(self):
         cfg = TrainConfig(lr0=3e-4, attention_mode="dla", augment=True)
-        assert apply_config_lines(TrainConfig(), cfg.echo_lines()) == cfg
+        assert apply_config_lines(TrainConfig(), config_lines(cfg)) == cfg
+        bb = BackboneConfig(input_hw=(16, 8), stage_channels=(8,), blocks_per_stage=(3,),
+                            embed_dim=5, attention_mode="pla+hla", heads=1)
+        assert "stage_channels = (8,)" in config_lines(bb)
+        assert apply_config_lines(BackboneConfig(), config_lines(bb)) == bb
 
 
 class TestRunTraining:
@@ -350,7 +357,7 @@ class TestRunTraining:
         fresh = load_checkpoint(ck0)
         # identical weights modulo the bn stats the warmup pass touched
         for key, value in fresh.items():
-            if ".running_" in key or key.startswith(("pipeline.", "optim.")):
+            if ".running_" in key or key.startswith(("pipeline.", "optim.", "meta.")):
                 continue
             assert trained[key].tobytes() == value.tobytes(), key
 
@@ -425,8 +432,71 @@ class TestRunTraining:
         entries = load_checkpoint(ck)
         assert "optim.t" in entries
         assert any(k.startswith("optim.m.") for k in entries)
-        assert "meta.attention_mode" in entries
         assert int(entries["pipeline.iteration"]) == 1
+
+        def stored(name, default):
+            text = entries[name].astype(np.uint8).tobytes().decode("utf-8")
+            return apply_config_lines(default, text.splitlines())
+
+        assert stored("meta.train", TrainConfig()) == cfg
+        assert stored("meta.backbone", BackboneConfig()) == tiny_backbone("all")
+
+    def test_config_mismatch_on_resume_names_the_keys(self, tiny_dataset, tmp_path):
+        data, eps = tiny_dataset
+        ck, _ = run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r",
+                             backbone_cfg=tiny_backbone("all"))
+        changed = replace(self.desk_cfg(eps, iters=2), tau=0.2, batch_k=3)
+        with pytest.raises(ConfigError, match="tau") as raised:
+            run_training(changed, data, tmp_path / "r2", resume_from=ck)
+        assert "batch_k" in str(raised.value)
+        assert "clustering_iterations" not in str(raised.value)
+        # fewer iterations than the checkpoint's run is a change too
+        with pytest.raises(ConfigError, match="clustering_iterations"):
+            run_training(self.desk_cfg(eps, iters=0), data, tmp_path / "r3", resume_from=ck)
+
+    def test_backbone_cfg_mismatch_on_resume_rejected(self, tiny_dataset, tmp_path):
+        data, eps = tiny_dataset
+        cfg = self.desk_cfg(eps, iters=1)
+        ck, _ = run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        run_training(cfg, data, tmp_path / "same", backbone_cfg=tiny_backbone("all"), resume_from=ck)
+        wider = replace(tiny_backbone("all"), embed_dim=8)
+        with pytest.raises(ConfigError, match="embed_dim"):
+            run_training(cfg, data, tmp_path / "r2", backbone_cfg=wider, resume_from=ck)
+
+    def test_checkpoint_without_train_config_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "old.bin", {"pipeline.iteration": np.array(1.0)})
+        with pytest.raises(DataFormatError, match="meta.train"):
+            load_backbone_from_checkpoint(tmp_path / "old.bin")
+
+    def test_interrupted_run_resumes_in_place_like_a_straight_run(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        """A run killed at iteration 2 resumes from its own <out>/checkpoint.bin."""
+        import mlareid.pipeline
+
+        data, eps = tiny_dataset
+        cfg = self.desk_cfg(eps, iters=4)
+
+        def rows_without_seconds(out):
+            return [ln.rsplit(",", 1)[0] for ln in (out / "report.csv").read_text().splitlines()]
+
+        straight, _ = run_training(cfg, data, tmp_path / "straight",
+                                   backbone_cfg=tiny_backbone("all"))
+        real_iteration = mlareid.pipeline.train_iteration
+
+        def interrupted_at_two(state, out_dir):
+            if state.iteration == 2:
+                raise KeyboardInterrupt
+            return real_iteration(state, out_dir)
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(mlareid.pipeline, "train_iteration", interrupted_at_two)
+        with pytest.raises(KeyboardInterrupt):
+            run_training(cfg, data, out, backbone_cfg=tiny_backbone("all"))
+        monkeypatch.undo()
+        resumed, _ = run_training(cfg, data, out, resume_from=out / "checkpoint.bin")
+        assert resumed.read_bytes() == straight.read_bytes()
+        assert rows_without_seconds(out) == rows_without_seconds(tmp_path / "straight")
 
 
 class TestAugmentBatch:
