@@ -5,13 +5,13 @@ within ``eps``. Clusters are the density-connected components of the core
 points, grown in ascending index order; border points join the cluster of
 their lowest-index core neighbor; everything else is noise (-1). Final
 cluster ids are canonicalized to first-occurrence order, so identical
-inputs always produce identical labels.
+inputs always produce identical labels. Both kernels do O(n^2) numpy work
+on one n x n matrix; no Python loop runs over neighbours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 
 import numpy as np
 
@@ -36,93 +36,79 @@ class ClusterStats:
     noise_fraction: float
 
 
-DISTANCE_BLOCK = 128  # edge of the square tiles symmetrised in place
+DISTANCE_BLOCK = 128  # rows turned into distances per in-place pass
 
 
 def pairwise_cosine_distance(features) -> DistanceMatrix:
-    """1 - f_i . f_j on unit-norm rows, symmetrised, clamped to [0,2], zero diagonal.
+    """1 - f_i . f_j on unit-norm rows, clamped to [0,2], zero diagonal.
 
-    The one n x n buffer is the ``f @ f.T`` product, turned into distances
-    in place one tile pair (i <= j) at a time: both tiles' ``1 - g`` go to
-    block-sized scratch before either is written, so diagonal tiles need
-    no special case. Each entry gets ``clip(((1-g_ij) + (1-g_ji)) / 2, 0, 2)``,
-    the same bytes as the whole-matrix formula, whatever the BLAS.
+    The one n x n buffer is ``f @ f.T`` for a C-contiguous ``f``: numpy runs
+    syrk and mirrors it, so ``g_ij == g_ji`` bit for bit and the symmetrised
+    ``((1-g_ij) + (1-g_ji)) / 2`` is ``1-g_ij``, computed in place
+    ``DISTANCE_BLOCK`` rows at a time. The byte tests pin both facts.
     """
-    f = np.asarray(features, dtype=np.float64)
+    f = np.ascontiguousarray(features, dtype=np.float64)
     if not np.isfinite(f).all():
         raise ContractError("pairwise_cosine_distance: features contain non-finite values")
     d = f @ f.T
-    n = d.shape[0]
-    edge = min(DISTANCE_BLOCK, n)
-    scratch_a, scratch_b = np.empty((2, edge, edge))
-    for i in range(0, n, DISTANCE_BLOCK):
-        for j in range(i, n, DISTANCE_BLOCK):
-            upper = d[i:i + DISTANCE_BLOCK, j:j + DISTANCE_BLOCK]
-            lower = d[j:j + DISTANCE_BLOCK, i:i + DISTANCE_BLOCK]
-            rows, cols = upper.shape
-            a = np.subtract(1.0, upper, out=scratch_a[:rows, :cols])
-            b = np.subtract(1.0, lower.T, out=scratch_b[:rows, :cols])
-            a += b  # symmetrize away roundoff skew
-            a /= 2.0
-            np.clip(a, 0.0, 2.0, out=upper)
-            lower[...] = upper.T
+    for i in range(0, d.shape[0], DISTANCE_BLOCK):
+        rows = d[i:i + DISTANCE_BLOCK]
+        np.subtract(1.0, rows, out=rows)
+        np.clip(rows, 0.0, 2.0, out=rows)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(d=d)
 
 
 def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabels:
-    """Classic density clustering with pinned deterministic tie-breaking."""
+    """Classic density clustering with pinned deterministic tie-breaking.
+
+    O(n^2) numpy work, no Python loop over neighbours: each core point is
+    popped once and claims the unclaimed core points in its row of the
+    n x n bool ``within``. Memory: that matrix, O(n) arrays, and a copy
+    of the border points' rows.
+    """
     if eps <= 0:
         raise ContractError(f"dbscan: eps must be positive, got {eps}")
     if min_pts < 1:
         raise ContractError(f"dbscan: min_pts must be at least 1, got {min_pts}")
     n = dist.d.shape[0]
     within = dist.d <= eps
-    core = within.sum(axis=1) >= min_pts
+    core = within.view(np.uint8).sum(axis=1, dtype=np.int32) >= min_pts  # no bool cast
     labels = np.full(n, -1, dtype=np.int64)
-
+    fresh, row = core.copy(), np.empty(n, dtype=bool)  # fresh: core points in no cluster yet
     cluster = 0
-    for start in range(n):
-        if not core[start] or labels[start] != -1:
+    for start in np.flatnonzero(core).tolist():
+        if not fresh[start]:
             continue
-        labels[start] = cluster
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for q in np.flatnonzero(within[p]):
-                if core[q] and labels[q] == -1:
-                    labels[q] = cluster
-                    queue.append(q)
+        fresh[start], labels[start], frontier = False, cluster, [start]
+        while frontier:
+            grown = np.logical_and(within[frontier.pop()], fresh, out=row).nonzero()[0]
+            fresh[grown], labels[grown] = False, cluster
+            frontier.extend(grown.tolist())
         cluster += 1
 
-    for i in range(n):
-        if labels[i] == -1 and not core[i]:
-            reachers = np.flatnonzero(within[i] & core)
-            if reachers.size:
-                labels[i] = labels[reachers[0]]
-
-    return PseudoLabels(labels=_canonicalize(labels), k=cluster)
-
-
-def _canonicalize(labels: np.ndarray) -> np.ndarray:
-    """Relabel clusters to 0,1,2,... in order of first appearance."""
-    out = labels.copy()
-    mapping: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab == -1:
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
+    if cluster:  # each border point joins its lowest-index core neighbour
+        border = np.flatnonzero(~core)
+        reach = within[border]
+        reach &= core
+        nearest = reach.argmax(axis=1)
+        hit = reach[np.arange(border.size), nearest]
+        labels[border[hit]] = labels[nearest[hit]]
+    clustered = labels >= 0  # renumber 0,1,2,... in order of first appearance
+    _, first, inverse = np.unique(labels[clustered], return_index=True, return_inverse=True)
+    labels[clustered] = np.argsort(np.argsort(first))[inverse]
+    return PseudoLabels(labels=labels, k=cluster)
 
 
 def cluster_summary(pl: PseudoLabels) -> ClusterStats:
     """Cluster count, per-cluster sizes and the noise fraction."""
-    labels = pl.labels
-    n = labels.size
-    noise = int((labels == -1).sum())
-    k = pl.k
-    sizes = np.bincount(labels[labels >= 0], minlength=k) if k else np.zeros(0, dtype=np.int64)
-    return ClusterStats(k=k, sizes=sizes, noise_fraction=noise / n if n else 0.0)
+    n = pl.labels.size
+    sizes = np.bincount(pl.labels[pl.labels >= 0], minlength=pl.k)
+    noise = n - int(sizes.sum())
+    return ClusterStats(k=pl.k, sizes=sizes, noise_fraction=noise / n if n else 0.0)
 
+
+def cluster_members(pl: PseudoLabels) -> list[np.ndarray]:
+    """Member indices of each cluster id in ascending order, from one stable argsort."""
+    order = np.argsort(pl.labels, kind="stable")[int((pl.labels < 0).sum()):]  # noise sorts first
+    return np.split(order, np.cumsum(cluster_summary(pl).sizes))[:-1]

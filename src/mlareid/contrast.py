@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import NORM_EPS, Tensor, add, exp, log, matmul, sub, tmean, tsum
 from .errors import ContractError
-from .clustering import PseudoLabels
+from .clustering import PseudoLabels, cluster_members
 
 
 @dataclass
@@ -45,8 +45,7 @@ def init_memory(
         raise ContractError(f"mu must lie in [0,1], got {mu}")
     rng = np.random.default_rng(seed)
     centroids = np.zeros((labels.k, f.shape[1]))
-    for cid in range(labels.k):
-        members = np.flatnonzero(labels.labels == cid)
+    for cid, members in enumerate(cluster_members(labels)):
         centroids[cid] = f[members[rng.integers(members.size)]]
     return MemoryDictionary(centroids=centroids, tau=tau, mu=mu)
 

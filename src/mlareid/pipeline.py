@@ -8,16 +8,18 @@ memory pick, the batch order, augmentation) is derived from
 (seed, iteration), so resuming from a checkpoint written at an iteration
 boundary replays the remaining iterations bit-for-bit. ``run_training``
 writes ``checkpoint.bin`` after every iteration: parameters, running stats,
-Adam state, the last memory centroids, the iteration count, and the run's
-config as ``config_lines`` text (``meta.backbone``, ``meta.train``). A
-resume refuses any config change but a larger ``clustering_iterations``.
+Adam state, the last memory centroids, the iteration count, the run's
+config as ``config_lines`` text (``meta.backbone``, ``meta.train``) and the
+sha256 of the train-split pixels (``meta.data``). A resume refuses other
+training images and any config change but a larger ``clustering_iterations``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,9 @@ from .backbone import (
     named_entries,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .clustering import PseudoLabels, cluster_summary, dbscan, pairwise_cosine_distance
+from .clustering import (
+    PseudoLabels, cluster_members, cluster_summary, dbscan, pairwise_cosine_distance,
+)
 from .contrast import MemoryDictionary, batch_hard_update, cluster_nce_loss, init_memory
 from .dataio import load_dataset, stack_pixels
 from .errors import ConfigError, ContractError, DataFormatError
@@ -179,16 +183,16 @@ def pk_sampler(labels: PseudoLabels, p: int, k_img: int, seed: int) -> list[np.n
         raise ContractError(f"pk_sampler: only {labels.k} clusters for P={p}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(labels.k)
-    members_of = {cid: np.flatnonzero(labels.labels == cid) for cid in range(labels.k)}
+    members_of = cluster_members(labels)
     batches: list[np.ndarray] = []
     for start in range(0, labels.k, p):
         chunk = order[start:start + p]
         if chunk.size < p:
-            rest = np.array([c for c in order if c not in set(chunk.tolist())])
+            rest = order[:start]  # the short chunk is the tail of the order
             chunk = np.concatenate([chunk, rng.choice(rest, size=p - chunk.size, replace=False)])
         picks: list[np.ndarray] = []
         for cid in chunk:
-            members = members_of[int(cid)]
+            members = members_of[cid]
             if members.size >= k_img:
                 picks.append(rng.choice(members, size=k_img, replace=False))
             else:
@@ -235,6 +239,10 @@ class RunState:
     pixels: np.ndarray  # train-split images [n,h,w,3]
     iteration: int = 0  # completed clustering iterations
     memory: MemoryDictionary | None = None
+    data: str = field(init=False)  # sha256 of the pixels' float64 bytes, checked on resume
+
+    def __post_init__(self):
+        self.data = hashlib.sha256(np.ascontiguousarray(self.pixels, dtype=np.float64)).hexdigest()
 
 
 def _derived_seed(*keys: int) -> int:
@@ -361,11 +369,16 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
 # checkpoint binding
 # ---------------------------------------------------------------------------
 
-def _stored_config(entries: dict[str, np.ndarray], name: str, default, path):
-    """The config stored as ``config_lines`` text under ``name``, applied to ``default``."""
+def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
+    """The UTF-8 text stored under ``name``, one float64 per byte (round-trips exactly)."""
     if name not in entries:
         raise DataFormatError(f"checkpoint {path} lacks {name!r}")
-    lines = entries[name].astype(np.uint8).tobytes().decode("utf-8").splitlines()
+    return entries[name].astype(np.uint8).tobytes().decode("utf-8")
+
+
+def _stored_config(entries: dict[str, np.ndarray], name: str, default, path):
+    """The config stored as ``config_lines`` text under ``name``, applied to ``default``."""
+    lines = _stored_text(entries, name, path).splitlines()
     where = [f"checkpoint {path} {name} line {i + 1}" for i in range(len(lines))]
     return apply_config_lines(default, lines, where)
 
@@ -389,9 +402,10 @@ def save_run_checkpoint(path: str | Path, state: RunState) -> None:
     if state.memory is not None:
         entries["memory.centroids"] = state.memory.centroids
     entries["pipeline.iteration"] = np.array(float(state.iteration))
-    for name, cfg in (("meta.backbone", state.backbone.cfg), ("meta.train", state.cfg)):
-        text = "\n".join(config_lines(cfg)).encode("utf-8")  # float64 bytes round-trip exactly
-        entries[name] = np.frombuffer(text, np.uint8).astype(np.float64)
+    texts = (("meta.backbone", "\n".join(config_lines(state.backbone.cfg))),
+             ("meta.train", "\n".join(config_lines(state.cfg))), ("meta.data", state.data))
+    for name, text in texts:  # read back by _stored_text
+        entries[name] = np.frombuffer(text.encode("utf-8"), np.uint8).astype(np.float64)
     save_checkpoint(path, entries)
 
 
@@ -414,10 +428,11 @@ def load_backbone_from_checkpoint(
 
 
 def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) -> RunState:
-    """Rebuild a RunState from a checkpoint whose TrainConfig ``cfg`` matches."""
+    """Rebuild a RunState from a checkpoint whose TrainConfig ``cfg`` and pixels match."""
     backbone, memory, entries = load_backbone_from_checkpoint(path)
     stored = _stored_config(entries, "meta.train", TrainConfig(), path)
     _refuse_changes("train config", stored, cfg, may_grow="clustering_iterations")
+    stored_data = _stored_text(entries, "meta.data", path)
 
     optim = AdamState()
     optim.t = int(entries["optim.t"]) if "optim.t" in entries else 0
@@ -427,14 +442,12 @@ def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) 
         elif name.startswith("optim.v."):
             optim.v[name[len("optim.v."):]] = value.copy()
 
-    return RunState(
-        cfg=cfg,
-        backbone=backbone,
-        optim=optim,
-        pixels=pixels,
-        iteration=int(entries["pipeline.iteration"]),
-        memory=memory,
-    )
+    state = RunState(cfg=cfg, backbone=backbone, optim=optim, pixels=pixels,
+                     iteration=int(entries["pipeline.iteration"]), memory=memory)
+    if state.data != stored_data:
+        raise ConfigError(f"train-split pixels differ from the checkpoint's: "
+                          f"sha256 {stored_data} in {path}, {state.data} given")
+    return state
 
 
 def run_training(

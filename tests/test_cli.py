@@ -133,6 +133,37 @@ class TestTrain:
         assert "batch P and K" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_resume_on_other_images_exits_one_naming_both_digests(self, tmp_path, capsys):
+        """Same-size images from another synth seed are refused, not trained on."""
+        def synth(seed):
+            out = tmp_path / f"data{seed}"
+            assert main([
+                "synth", "--out", str(out), "--ids", "4", "--images-per-id", "5",
+                "--height", "16", "--width", "16", "--seed", str(seed),
+            ]) == 0
+            return out
+
+        def train(data, iterations, *resume):
+            return main([
+                "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                "--iterations", str(iterations), "--mode", "baseline", "--batch-p", "2",
+                "--batch-k", "2", "--eps", "0.01", "--min-pts", "2",
+                "--bn-warmup-passes", "1", *resume,
+            ])
+
+        first, second = synth(1), synth(2)
+        assert train(first, 2) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.bin"
+        saved = checkpoint.read_bytes()
+        capsys.readouterr()
+        assert train(second, 3, "--resume", str(checkpoint)) == 1
+        err = capsys.readouterr().err
+        assert "pixels differ" in err
+        digests = [w for w in err.replace(",", " ").split() if len(w) == 64]
+        assert len(set(digests)) == 2, err
+        assert checkpoint.read_bytes() == saved
+        assert train(first, 3, "--resume", str(checkpoint)) == 0
+
     def test_train_flags_are_the_config_fields_plus_four(self):
         """One flag per TrainConfig field (two with short names) plus data, out, config, resume."""
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

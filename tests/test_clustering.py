@@ -8,6 +8,7 @@ import pytest
 from mlareid.clustering import (
     DISTANCE_BLOCK,
     PseudoLabels,
+    cluster_members,
     cluster_summary,
     dbscan,
     pairwise_cosine_distance,
@@ -59,6 +60,23 @@ def dbscan_closure_oracle(d, eps, min_pts):
     return canonical(labels)
 
 
+def unit(f):
+    return f / np.linalg.norm(f, axis=1, keepdims=True)
+
+
+def collapsed_features(n, seed=0):
+    """Rows within 1e-9 of one direction: every pair lies within any positive eps."""
+    jitter = 1e-9 * np.random.default_rng(seed).standard_normal((n, 3))
+    return unit(np.tile([1.0, 0.0, 0.0], (n, 1)) + jitter)
+
+
+def whole_matrix_formula(f):
+    g = 1.0 - f @ f.T
+    want = np.clip((g + g.T) / 2.0, 0.0, 2.0)
+    np.fill_diagonal(want, 0.0)
+    return want
+
+
 def random_instance(rng):
     n = int(rng.integers(2, 31))
     dim = int(rng.integers(2, 9))
@@ -98,13 +116,21 @@ class TestPairwiseCosineDistance:
         f = rng.standard_normal((n, 16))
         f /= np.linalg.norm(f, axis=1, keepdims=True)
         before = f.tobytes()
-        g = 1.0 - f @ f.T
-        want = np.clip((g + g.T) / 2.0, 0.0, 2.0)
-        np.fill_diagonal(want, 0.0)
+        want = whole_matrix_formula(f)
         got = pairwise_cosine_distance(f).d
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert f.tobytes() == before
+
+    def test_fortran_and_strided_inputs_equal_the_formula(self):
+        """Non-C-ordered inputs get the same bytes as their C-contiguous copy."""
+        f = unit(np.random.default_rng(3).standard_normal((300, 16)))
+        want = whole_matrix_formula(f)
+        strided = np.repeat(f, 2, axis=1)[:, ::2]  # a product numpy does not mirror
+        for given in (np.asfortranarray(f), strided):
+            got = pairwise_cosine_distance(given).d
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got, got.T)
 
     def test_peak_memory_is_one_matrix(self):
         """Only the n x n result plus block-sized scratch is alive at the peak."""
@@ -187,6 +213,46 @@ class TestDbscan:
             np.testing.assert_array_equal(got.labels, want, err_msg=f"trial {trial}")
             np.testing.assert_array_equal(got.labels == -1, want == -1)
 
+    def test_collapsed_features_form_one_cluster(self):
+        """With every pair within eps, all points are one cluster, as the oracle says."""
+        dist = pairwise_cosine_distance(collapsed_features(300))
+        assert (dist.d <= 0.04).all()
+        out = dbscan(dist, eps=0.04, min_pts=2)
+        assert out.k == 1
+        np.testing.assert_array_equal(out.labels, np.zeros(300))
+        np.testing.assert_array_equal(out.labels, dbscan_closure_oracle(dist.d, 0.04, 2))
+
+    def test_collapsed_peak_memory_is_a_few_bytes_per_pair(self):
+        """No neighbour-pair list: collapsed n = 1500 peaks at <= 4 bytes per pair."""
+        n = 1500
+        dist = pairwise_cosine_distance(collapsed_features(n))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = dbscan(dist, eps=0.04, min_pts=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.k == 1
+        assert peak <= 4 * n * n, peak / (n * n)
+
+    @pytest.mark.parametrize("n, eps, min_pts", [
+        (25, 2.0, 4),  # every pair within eps
+        (25, 3.0, 1),
+        (25, 0.3, 1),  # every point is core
+        (25, 0.6, 26),  # min_pts > n: all noise
+        (1, 0.4, 1),
+        (1, 0.4, 2),
+    ])
+    def test_oracle_agreement_at_edge_parameters(self, n, eps, min_pts):
+        dist = pairwise_cosine_distance(unit(np.random.default_rng(n).standard_normal((n, 3))))
+        got = dbscan(dist, eps, min_pts)
+        want = dbscan_closure_oracle(dist.d, eps, min_pts)
+        np.testing.assert_array_equal(got.labels, want)
+        assert got.k == len(set(want.tolist()) - {-1})
+        if min_pts > n:
+            assert got.k == 0 and (got.labels == -1).all()
+
     def test_permutation_covariance(self):
         """Permuting the rows permutes the labels, up to canonical relabeling."""
         rng = np.random.default_rng(7)
@@ -249,3 +315,15 @@ class TestClusterSummary:
             stats = cluster_summary(out)
             assert stats.sizes.sum() + int((out.labels == -1).sum()) == out.labels.size
 
+
+class TestClusterMembers:
+    def test_equals_flatnonzero_per_cluster(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            raw = rng.integers(-1, 9, size=int(rng.integers(1, 60)))
+            k = int(raw.max()) + 1
+            groups = cluster_members(PseudoLabels(raw, k=k))
+            assert len(groups) == k
+            for cid, members in enumerate(groups):
+                np.testing.assert_array_equal(members, np.flatnonzero(raw == cid))
+        assert cluster_members(PseudoLabels(np.full(4, -1), k=0)) == []

@@ -49,6 +49,20 @@ class TestInitMemory:
             mem = init_memory(f, labels, seed=seed)
             assert mem.centroids[0].tobytes() == f[0].tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_cluster_loop(self, seed):
+        """Same centroids, byte for byte, as a per-cluster flatnonzero pick."""
+        rng = np.random.default_rng(50 + seed)
+        f = unit_rows(rng, 150, 6)
+        raw = rng.integers(-1, 17, size=150)
+        labels = PseudoLabels(raw, k=int(raw.max()) + 1)
+        pick = np.random.default_rng(seed)
+        want = np.zeros((labels.k, 6))
+        for cid in range(labels.k):
+            members = np.flatnonzero(raw == cid)
+            want[cid] = f[members[pick.integers(members.size)]]
+        assert init_memory(f, labels, seed=seed).centroids.tobytes() == want.tobytes()
+
     def test_empty_clustering_raises(self):
         with pytest.raises(ContractError, match="no clusters"):
             init_memory(np.zeros((3, 2)), PseudoLabels(np.full(3, -1), k=0), seed=0)

@@ -121,6 +121,37 @@ class TestPkSampler:
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_cluster_loop(self, seed):
+        """Same batches, byte for byte, as a per-cluster flatnonzero sampler."""
+
+        def loop_sampler(labels, p, k_img, seed):
+            rng = np.random.default_rng(seed)
+            order = rng.permutation(labels.k)
+            members_of = {cid: np.flatnonzero(labels.labels == cid) for cid in range(labels.k)}
+            batches = []
+            for start in range(0, labels.k, p):
+                chunk = order[start:start + p]
+                if chunk.size < p:
+                    rest = np.array([c for c in order if c not in set(chunk.tolist())])
+                    chunk = np.concatenate([chunk, rng.choice(rest, size=p - chunk.size, replace=False)])
+                picks = []
+                for cid in chunk:
+                    members = members_of[int(cid)]
+                    if members.size >= k_img:
+                        picks.append(rng.choice(members, size=k_img, replace=False))
+                    else:
+                        extra = rng.choice(members, size=k_img - members.size, replace=True)
+                        picks.append(np.concatenate([members, extra]))
+                batches.append(np.concatenate(picks))
+            return batches
+
+        raw = np.random.default_rng(100 + seed).integers(-1, 23, size=200)
+        pl = labels_of(raw)
+        got = pk_sampler(pl, p=4, k_img=6, seed=seed)  # 23 clusters: a padded last chunk
+        want = loop_sampler(pl, p=4, k_img=6, seed=seed)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
     def test_too_few_clusters_rejected(self):
         pl = labels_of([0, 0, 0, 1, 1, 1])
         with pytest.raises(ContractError, match="P=3"):
@@ -467,6 +498,18 @@ class TestRunTraining:
         save_checkpoint(tmp_path / "old.bin", {"pipeline.iteration": np.array(1.0)})
         with pytest.raises(DataFormatError, match="meta.train"):
             load_backbone_from_checkpoint(tmp_path / "old.bin")
+
+    def test_checkpoint_without_data_digest_refused_on_resume(self, tiny_dataset, tmp_path):
+        data, eps = tiny_dataset
+        cfg = self.desk_cfg(eps, iters=1)
+        ck, _ = run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        entries = load_checkpoint(ck)
+        assert list(entries)[-3:] == ["meta.backbone", "meta.train", "meta.data"]
+        del entries["meta.data"]
+        save_checkpoint(tmp_path / "old.bin", entries)
+        with pytest.raises(DataFormatError, match="meta.data"):
+            run_training(replace(cfg, clustering_iterations=2), data, tmp_path / "r2",
+                         resume_from=tmp_path / "old.bin")
 
     def test_interrupted_run_resumes_in_place_like_a_straight_run(
         self, tiny_dataset, tmp_path, monkeypatch
