@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mlareid.dataio import SynthSpec, load_dataset, stack_pixels, synth_generate
-from mlareid.evalviz import evaluate, export_heatmap, grad_cam_heatmap
-from mlareid.pipeline import TrainConfig, extract_all_features, run_training
-from mlareid.pipeline import load_backbone_from_checkpoint
+from mlareid.dataio import SynthSpec, load_dataset, synth_generate
+from mlareid.evalviz import evaluate, export_heatmap, grad_cam_heatmap, retrieval_metrics
+from mlareid.pipeline import TrainConfig, load_backbone_from_checkpoint, run_training
 
 root = Path(tempfile.mkdtemp(prefix="mlareid_e2e_"))
 data = root / "data"
@@ -42,14 +41,9 @@ for r in reports:
 
 backbone, memory, _ = load_backbone_from_checkpoint(checkpoint)
 records = load_dataset(data)
+metrics = retrieval_metrics(backbone, records)
 query = [r for r in records if r.split == "query"]
 gallery = [r for r in records if r.split == "gallery"]
-qf = extract_all_features(stack_pixels(query), backbone)
-gf = extract_all_features(stack_pixels(gallery), backbone)
-metrics = evaluate(
-    qf, np.array([r.pid for r in query]), np.array([r.camid for r in query]),
-    gf, np.array([r.pid for r in gallery]), np.array([r.camid for r in gallery]),
-)
 
 
 def pixel_features(records_):
@@ -67,7 +61,6 @@ print(f"\ncross-camera retrieval, learned: mAP={metrics.map_score:.3f} "
 print(f"cross-camera retrieval, raw pixels: mAP={pixel_metrics.map_score:.3f} "
       f"rank-1={pixel_metrics.cmc[1]:.3f}")
 
-cluster_id = int(np.argmax(memory.centroids @ qf[0])) if memory is not None else None
-hm = grad_cam_heatmap(query[0], backbone, memory, cluster_id)
+hm = grad_cam_heatmap(query[0], backbone, memory)  # nearest cluster, if trained
 export_heatmap(hm, root / "heatmap_q0", source_pixels=query[0].pixels)
 print(f"heatmap overlay written to {root}/heatmap_q0.ppm ({hm.target})")

@@ -1,5 +1,8 @@
 """Command-line entry point: synth, train, eval, heatmap, grad-check.
 
+A thin shell over the library. The synth and train flags are the fields
+of ``SynthSpec`` and ``TrainConfig``, parsed and checked as config lines;
+eval and heatmap call ``retrieval_metrics`` and ``grad_cam_heatmap``.
 Every subcommand echoes its effective configuration before doing work, so
 a run can be reproduced from its own log. Exit codes: 0 success, 1 for
 contract/usage errors, 2 for I/O errors.
@@ -14,14 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import SynthSpec, load_dataset, stack_pixels, synth_generate
+from .dataio import SynthSpec, load_dataset, synth_generate
 from .errors import ContractError
-from .evalviz import evaluate, export_heatmap, grad_cam_heatmap, write_metrics_csv
+from .evalviz import export_heatmap, grad_cam_heatmap, retrieval_metrics, write_metrics_csv
 from .pipeline import (
     TrainConfig,
     apply_config_lines,
     config_lines,
-    extract_all_features,
     load_backbone_from_checkpoint,
     parse_config,
     run_training,
@@ -32,9 +34,13 @@ EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_IO = 2
 
-# Every TrainConfig field is a train flag, "--" plus its dashed name, but for two short names.
-_TRAIN_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(TrainConfig)} | {
-    "attention_mode": "--mode", "clustering_iterations": "--iterations"
+# Every field of a config class is a flag, "--" plus its dashed name, but for four short names.
+_FLAGS = {
+    cls: {f.name: "--" + f.name.replace("_", "-") for f in fields(cls)} | short
+    for cls, short in (
+        (SynthSpec, {"num_ids": "--ids", "num_cameras": "--cameras"}),
+        (TrainConfig, {"attention_mode": "--mode", "clustering_iterations": "--iterations"}),
+    )
 }
 
 
@@ -59,32 +65,24 @@ def _echo(label: str, lines: list[str]) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _effective(cfg, args):
+    """``cfg`` with every flag the user gave applied as a ``key = value`` line."""
+    flags = _FLAGS[type(cfg)]
+    given = [name for name in flags if getattr(args, name) is not None]
+    lines = [f"{name} = {getattr(args, name)}" for name in given]
+    return apply_config_lines(cfg, lines, where=[flags[name] for name in given])
+
+
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        num_ids=args.ids,
-        images_per_id=args.images_per_id,
-        num_cameras=args.cameras,
-        image_hw=(args.height, args.width),
-        background_strength=args.background_strength,
-        noise_sigma=args.noise_sigma,
-        jitter_px=args.jitter_px,
-        seed=args.seed,
-    )
+    spec = _effective(SynthSpec(), args)
     _echo("synth spec", config_lines(spec))
     records = synth_generate(spec, args.out)
     print(f"wrote {len(records)} images under {args.out}")
     return EXIT_OK
 
 
-def _effective_train_config(args) -> TrainConfig:
-    cfg = parse_config(args.config) if args.config else TrainConfig()
-    given = [f.name for f in fields(TrainConfig) if getattr(args, f.name) is not None]
-    lines = [f"{name} = {getattr(args, name)}" for name in given]
-    return apply_config_lines(cfg, lines, where=[_TRAIN_FLAGS[name] for name in given])
-
-
 def _cmd_train(args) -> int:
-    cfg = _effective_train_config(args)
+    cfg = _effective(parse_config(args.config) if args.config else TrainConfig(), args)
     _echo("train config", config_lines(cfg))
     data = Path(args.data)
     if not data.is_dir():
@@ -108,23 +106,7 @@ def _cmd_eval(args) -> int:
             f"attention_mode = {backbone.cfg.attention_mode}",
         ],
     )
-    records = load_dataset(args.data)
-    query = [r for r in records if r.split == "query"]
-    gallery = [r for r in records if r.split == "gallery"]
-    if not query or not gallery:
-        raise ContractError(
-            f"dataset under {args.data} needs non-empty query and gallery splits"
-        )
-    qf = extract_all_features(stack_pixels(query), backbone)
-    gf = extract_all_features(stack_pixels(gallery), backbone)
-    metrics = evaluate(
-        qf,
-        np.array([r.pid for r in query]),
-        np.array([r.camid for r in query]),
-        gf,
-        np.array([r.pid for r in gallery]),
-        np.array([r.camid for r in gallery]),
-    )
+    metrics = retrieval_metrics(backbone, load_dataset(args.data))
     out = Path(args.out) if args.out else Path(args.checkpoint).parent
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(metrics, out / "metrics.csv")
@@ -134,6 +116,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
+    if args.limit < 1:
+        raise ContractError(f"--limit must be at least 1, got {args.limit}")
     backbone, memory, _ = load_backbone_from_checkpoint(args.checkpoint)
     _echo(
         "heatmap config",
@@ -152,11 +136,7 @@ def _cmd_heatmap(args) -> int:
     heat_dir = out / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)
     for record in records[: args.limit]:
-        cluster_id = None
-        if memory is not None:
-            feature = extract_all_features(record.pixels[None, ...], backbone)[0]
-            cluster_id = int(np.argmax(memory.centroids @ feature))
-        hm = grad_cam_heatmap(record, backbone, memory, cluster_id)
+        hm = grad_cam_heatmap(record, backbone, memory)
         base = heat_dir / Path(record.path).stem
         export_heatmap(hm, base, source_pixels=record.pixels)
         print(f"{base.with_suffix('.ppm')} target: {hm.target}")
@@ -164,23 +144,25 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    results = run_gradient_suite(
-        seeds=tuple(range(args.seeds)), tolerance=args.tolerance
-    )
-    worst: dict[str, float] = {}
-    for r in results:
-        worst[r.name] = max(worst.get(r.name, 0.0), r.max_error)
-    failed = False
-    for name, err in worst.items():
-        ok = err < args.tolerance
-        failed = failed or not ok
-        print(f"{name}: max_error={err:.3e} {'PASS' if ok else 'FAIL'}")
-    return EXIT_CONTRACT if failed else EXIT_OK
+    results = run_gradient_suite(seeds=tuple(range(args.seeds)), tolerance=args.tolerance)
+    for name in dict.fromkeys(r.name for r in results):
+        checks = [r for r in results if r.name == name]
+        ok = all(r.passed for r in checks)
+        print(f"{name}: max_error={max(r.max_error for r in checks):.3e} {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CONTRACT
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
+    for f in fields(cls):  # values are parsed and checked by apply_config_lines
+        parser.add_argument(
+            _FLAGS[cls][f.name], dest=f.name, metavar=f.type.partition("[")[0].upper(),
+            help=f"{cls.__name__}.{f.name} (default {f.default})",
+        )
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mlareid", description=__doc__)
@@ -188,15 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic re-id dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--ids", type=int, default=32)
-    p.add_argument("--images-per-id", type=int, default=8)
-    p.add_argument("--cameras", type=int, default=2)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--background-strength", type=float, default=0.8)
-    p.add_argument("--noise-sigma", type=float, default=0.02)
-    p.add_argument("--jitter-px", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, SynthSpec)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="run the clustering/training loop")
@@ -204,11 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key = value file of TrainConfig fields")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    for f in fields(TrainConfig):  # values are parsed and checked by apply_config_lines
-        p.add_argument(
-            _TRAIN_FLAGS[f.name], dest=f.name, metavar=f.type.upper(),
-            help=f"TrainConfig.{f.name} (default {f.default})",
-        )
+    _add_flags(p, TrainConfig)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="retrieval metrics for a checkpoint")

@@ -74,9 +74,8 @@ class SynthSpec:
             raise ConfigError(f"background_strength must lie in [0,1], got {self.background_strength}")
         if self.noise_sigma < 0 or self.jitter_px < 0:
             raise ConfigError("noise_sigma and jitter_px must be non-negative")
-        h, w = self.image_hw
-        if h < 16 or w < 16:
-            raise ConfigError(f"image size {h}x{w} is too small to draw a figure")
+        if len(self.image_hw) != 2 or min(self.image_hw) < 16:
+            raise ConfigError(f"image_hw must be (height, width), both at least 16, got {self.image_hw}")
 
 
 def bilinear_upsample(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

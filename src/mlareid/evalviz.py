@@ -4,8 +4,9 @@ Evaluation ranks the gallery per query by descending cosine similarity,
 excluding gallery entries that share both pid and camera with the query
 (the standard market-style protocol); ties break by gallery index.
 Queries with no valid positive are excluded from both averages and
-counted. Heatmaps weight the post-attention feature map by the spatial
-mean of the score gradient per channel, rectify, and max-normalize.
+counted; ``retrieval_metrics`` embeds a dataset's query and gallery
+splits for it. Heatmaps weight the post-attention feature map by the
+spatial mean of the score gradient per channel, rectify, and max-normalize.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 from .autodiff import Tensor, global_avg_pool, l2_normalize, no_grad
 from .backbone import BackboneParams, forward_to_featuremap
 from .contrast import MemoryDictionary
-from .dataio import ImageRecord, bilinear_upsample, read_ppm, write_ppm
+from .dataio import ImageRecord, bilinear_upsample, stack_pixels, write_ppm
 from .errors import ContractError
+from .pipeline import extract_all_features
 
 
 @dataclass
@@ -43,7 +45,6 @@ class RetrievalMetrics:
 @dataclass
 class Heatmap:
     grid: np.ndarray  # [h', w'] floats in [0, 1]
-    source_path: str
     target: str  # human-readable score description
 
 
@@ -94,6 +95,22 @@ def evaluate(
     )
 
 
+def retrieval_metrics(params: BackboneParams, records: list[ImageRecord]) -> RetrievalMetrics:
+    """Embed the query and gallery splits of ``records`` in eval mode and evaluate them."""
+    query = [r for r in records if r.split == "query"]
+    gallery = [r for r in records if r.split == "gallery"]
+    if not query or not gallery:
+        raise ContractError(
+            f"retrieval needs query and gallery images, got {len(query)} query and {len(gallery)} gallery"
+        )
+    qf = extract_all_features(stack_pixels(query), params)
+    gf = extract_all_features(stack_pixels(gallery), params)
+    return evaluate(
+        qf, np.array([r.pid for r in query]), np.array([r.camid for r in query]),
+        gf, np.array([r.pid for r in gallery]), np.array([r.camid for r in gallery]),
+    )
+
+
 def write_metrics_csv(metrics: RetrievalMetrics, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -118,10 +135,10 @@ def grad_cam_heatmap(
 ) -> Heatmap:
     """Spatial evidence for a cluster logit, or for the embedding energy.
 
-    With a memory the score is the target cluster's temperature-scaled
-    logit; without one it is the squared pre-normalization embedding,
-    whose gradient still carries spatial structure (the normalized
-    embedding has constant norm and would give a zero map).
+    With a memory the score is a cluster's temperature-scaled logit, by
+    default the cluster nearest the image's embedding; without one it is the
+    squared pre-normalization embedding, whose gradient still carries spatial
+    structure (the normalized embedding has constant norm and would give a zero map).
     """
     with no_grad():
         fmap = forward_to_featuremap(Tensor(record.pixels[None, ...]), params, training=False)
@@ -130,11 +147,11 @@ def grad_cam_heatmap(
     projected = pooled @ params.embed_w.detach() + params.embed_b.detach()
 
     if memory is not None:
-        if cluster_id is None or not 0 <= cluster_id < memory.k:
-            raise ContractError(
-                f"cluster id {cluster_id} is not in [0,{memory.k})"
-            )
         feat = l2_normalize(projected, axis=-1)
+        if cluster_id is None:
+            cluster_id = int(np.argmax(memory.centroids @ feat.data[0]))
+        elif not 0 <= cluster_id < memory.k:
+            raise ContractError(f"cluster id {cluster_id} is not in [0,{memory.k})")
         score = (feat * Tensor(memory.centroids[cluster_id][None, :] / memory.tau)).sum()
         target = f"cluster {cluster_id} logit"
     else:
@@ -142,11 +159,11 @@ def grad_cam_heatmap(
         target = "embedding energy"
     score.backward()
     grid = cam_from_gradients(fmap.data[0], fmap.grad[0])
-    return Heatmap(grid=grid, source_path=record.path, target=target)
+    return Heatmap(grid=grid, target=target)
 
 
-def export_heatmap(hm: Heatmap, out_base: str | Path, source_pixels: np.ndarray | None = None) -> None:
-    """Write <base>.csv (the raw grid) and <base>.ppm (blended overlay).
+def export_heatmap(hm: Heatmap, out_base: str | Path, source_pixels: np.ndarray) -> None:
+    """Write <base>.csv (the raw grid) and <base>.ppm (overlay on ``source_pixels``).
 
     The overlay upsamples the grid to the source image size, maps it
     through a blue-to-red ramp and alpha-blends at 0.5.
@@ -157,8 +174,6 @@ def export_heatmap(hm: Heatmap, out_base: str | Path, source_pixels: np.ndarray 
         for row in hm.grid:
             writer.writerow([f"{v:.17g}" for v in row])
 
-    if source_pixels is None:
-        source_pixels = read_ppm(hm.source_path)
     h, w, _ = source_pixels.shape
     heat = bilinear_upsample(hm.grid, h, w)
     ramp = np.stack([heat, np.zeros_like(heat), 1.0 - heat], axis=-1)

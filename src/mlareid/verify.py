@@ -26,6 +26,7 @@ from .attention import (
 )
 from .autodiff import Parameter, Tensor, finite_diff_check
 from .contrast import MemoryDictionary, cluster_nce_loss
+from .errors import ContractError
 
 
 @dataclass
@@ -188,7 +189,14 @@ _CHECKS = {
 
 
 def run_gradient_suite(seeds=(0, 1, 2, 3, 4), tolerance: float = 1e-4) -> list[GradCheckResult]:
-    """Every named check at every seed; results carry the worst element error."""
+    """Every named check at every seed; results carry the worst element error.
+
+    No seeds, or a tolerance that is not finite and positive, would pass unchecked: both are refused.
+    """
+    if not seeds:
+        raise ContractError("the gradient suite needs at least one seed")
+    if not 0.0 < tolerance < np.inf:  # also false for NaN
+        raise ContractError(f"tolerance must be finite and positive, got {tolerance}")
     results = []
     for name, fn in _CHECKS.items():
         for seed in seeds:

@@ -34,14 +34,9 @@ from mlareid.backbone import BackboneConfig
 from mlareid.cli import main as cli_main
 from mlareid.clustering import dbscan, pairwise_cosine_distance
 from mlareid.contrast import MemoryDictionary, cluster_nce_loss
-from mlareid.dataio import SynthSpec, load_dataset, read_ppm, stack_pixels, synth_generate
-from mlareid.evalviz import cam_from_gradients, evaluate, grad_cam_heatmap
-from mlareid.pipeline import (
-    TrainConfig,
-    extract_all_features,
-    load_backbone_from_checkpoint,
-    run_training,
-)
+from mlareid.dataio import SynthSpec, load_dataset, read_ppm, synth_generate
+from mlareid.evalviz import cam_from_gradients, evaluate, retrieval_metrics
+from mlareid.pipeline import TrainConfig, load_backbone_from_checkpoint, run_training
 from mlareid.verify import run_gradient_suite
 
 # Desk protocol: the dataset below plus these training settings. eps,
@@ -80,16 +75,7 @@ def desk_config(mode: str, seed: int) -> TrainConfig:
 
 def desk_map(data_dir: Path, checkpoint: Path) -> float:
     backbone, _, _ = load_backbone_from_checkpoint(checkpoint)
-    records = load_dataset(data_dir)
-    query = [r for r in records if r.split == "query"]
-    gallery = [r for r in records if r.split == "gallery"]
-    qf = extract_all_features(stack_pixels(query), backbone)
-    gf = extract_all_features(stack_pixels(gallery), backbone)
-    metrics = evaluate(
-        qf, np.array([r.pid for r in query]), np.array([r.camid for r in query]),
-        gf, np.array([r.pid for r in gallery]), np.array([r.camid for r in gallery]),
-    )
-    return metrics.map_score
+    return retrieval_metrics(backbone, load_dataset(data_dir)).map_score
 
 
 class TestCriterion1Gradients:

@@ -5,8 +5,10 @@ import argparse
 import numpy as np
 import pytest
 
+from mlareid import backbone, evalviz
 from mlareid.cli import build_parser, main
 from mlareid.dataio import read_ppm
+from mlareid.pipeline import load_backbone_from_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +18,7 @@ def workspace(tmp_path_factory):
     data = root / "data"
     code = main([
         "synth", "--out", str(data), "--ids", "6", "--images-per-id", "6",
-        "--cameras", "2", "--height", "16", "--width", "16",
+        "--cameras", "2", "--image-hw", "16,16",
         "--background-strength", "0.5", "--seed", "7",
     ])
     assert code == 0
@@ -29,6 +31,11 @@ def workspace(tmp_path_factory):
     ])
     assert code == 0
     return root
+
+
+def subcommand_flags(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[name]._actions for s in a.option_strings} - {"-h", "--help"}
 
 
 class TestDispatch:
@@ -50,7 +57,7 @@ class TestSynth:
     def test_echoes_effective_spec(self, tmp_path, capsys):
         code = main([
             "synth", "--out", str(tmp_path / "d"), "--ids", "3",
-            "--images-per-id", "5", "--height", "16", "--width", "16",
+            "--images-per-id", "5", "--image-hw", "16,16",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -64,6 +71,20 @@ class TestSynth:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_bad_flag_value_exits_one_naming_the_key(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--ids", "x"]) == 1
+        assert "--ids: bad value 'x' for 'num_ids'" in capsys.readouterr().err
+        assert main(["synth", "--out", str(tmp_path / "d"), "--image-hw", "16"]) == 1
+        assert "image_hw must be (height, width)" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_synth_flags_are_the_spec_fields_plus_out(self):
+        """One flag per SynthSpec field (two with short names) plus out."""
+        assert subcommand_flags("synth") == {
+            "--out", "--ids", "--images-per-id", "--cameras", "--image-hw",
+            "--background-strength", "--noise-sigma", "--jitter-px", "--seed",
+        }
 
 
 class TestTrain:
@@ -139,7 +160,7 @@ class TestTrain:
             out = tmp_path / f"data{seed}"
             assert main([
                 "synth", "--out", str(out), "--ids", "4", "--images-per-id", "5",
-                "--height", "16", "--width", "16", "--seed", str(seed),
+                "--image-hw", "16,16", "--seed", str(seed),
             ]) == 0
             return out
 
@@ -166,9 +187,7 @@ class TestTrain:
 
     def test_train_flags_are_the_config_fields_plus_four(self):
         """One flag per TrainConfig field (two with short names) plus data, out, config, resume."""
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        flags = {s for a in sub.choices["train"]._actions for s in a.option_strings}
-        assert flags - {"-h", "--help"} == {
+        assert subcommand_flags("train") == {
             "--data", "--out", "--config", "--resume",
             "--mode", "--seed", "--iterations", "--epochs-per-iteration", "--batch-p",
             "--batch-k", "--lr0", "--lr-decay", "--lr-decay-every", "--eps", "--min-pts",
@@ -227,6 +246,38 @@ class TestHeatmap:
         assert pixels.shape == (16, 16, 3)
         assert np.all((pixels >= 0) & (pixels <= 1))
 
+    def test_limit_below_one_exits_one_naming_the_flag(self, workspace, tmp_path, capsys):
+        for limit in ("0", "-1"):
+            code = main([
+                "heatmap", "--data", str(workspace / "data"),
+                "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                "--out", str(tmp_path), "--limit", limit,
+            ])
+            assert code == 1
+            assert f"--limit must be at least 1, got {limit}" in capsys.readouterr().err
+        assert not (tmp_path / "heatmaps").exists()
+
+    def test_one_backbone_forward_per_image(self, workspace, tmp_path, capsys, monkeypatch):
+        """The nearest cluster comes from the heatmap's own forward, not from a second one."""
+        checkpoint = workspace / "run" / "checkpoint.bin"
+        assert load_backbone_from_checkpoint(checkpoint)[1] is not None
+        calls = []
+        original = backbone.forward_to_featuremap
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(*args, **kwargs)
+
+        for module in (backbone, evalviz):
+            monkeypatch.setattr(module, "forward_to_featuremap", counting)
+        code = main([
+            "heatmap", "--data", str(workspace / "data"), "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path), "--limit", "2",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.count("target: cluster") == 2
+        assert calls == [1, 1]
+
     def test_empty_split_exits_one(self, workspace, tmp_path, capsys):
         data = tmp_path / "empty"
         (data / "query").mkdir(parents=True)
@@ -246,3 +297,12 @@ class TestGradCheck:
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["grad-check", "--seeds", "1", "--tolerance", "1e-18"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--seeds", "0"], ["--seeds", "-2"], ["--tolerance", "inf"],
+        ["--tolerance", "nan"], ["--tolerance", "0"],
+    ])
+    def test_a_suite_that_checks_nothing_exits_one(self, argv, capsys):
+        assert main(["grad-check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert "error" in captured.err and "PASS" not in captured.out

@@ -6,7 +6,7 @@ import pytest
 from mlareid.backbone import BackboneConfig, build_backbone, forward_to_featuremap
 from mlareid.autodiff import Tensor, global_avg_pool, zero_grads
 from mlareid.contrast import MemoryDictionary
-from mlareid.dataio import ImageRecord, read_ppm
+from mlareid.dataio import ImageRecord, read_ppm, stack_pixels
 from mlareid.errors import ContractError
 from mlareid.evalviz import (
     Heatmap,
@@ -14,9 +14,11 @@ from mlareid.evalviz import (
     evaluate,
     export_heatmap,
     grad_cam_heatmap,
+    retrieval_metrics,
     write_metrics_csv,
 )
 from mlareid.layers import parameters
+from mlareid.pipeline import extract_all_features
 
 
 def evaluate_bruteforce(qf, qp, qc, gf, gp, gc):
@@ -169,11 +171,40 @@ def tiny_backbone(mode="all", seed=0):
     return build_backbone(cfg, seed)
 
 
-def tiny_record(seed=0):
+def tiny_record(seed=0, pid=0, camid=1, split="query"):
     rng = np.random.default_rng(seed)
     return ImageRecord(
-        pixels=rng.uniform(0, 1, size=(16, 8, 3)), pid=0, camid=1, split="query", path="q.ppm"
+        pixels=rng.uniform(0, 1, size=(16, 8, 3)), pid=pid, camid=camid, split=split, path="q.ppm"
     )
+
+
+def tiny_dataset():
+    """Four identities under two cameras in every split, more gallery images than one extraction chunk."""
+    splits = ["train"] * 8 + ["query"] * 8 + ["gallery"] * 40
+    return [tiny_record(i, pid=i % 4, camid=1 + (i // 4) % 2, split=split) for i, split in enumerate(splits)]
+
+
+class TestRetrievalMetrics:
+    def test_equals_hand_assembled_evaluate(self):
+        """The query and gallery splits, embedded and evaluated, bit for bit."""
+        params = tiny_backbone()
+        records = tiny_dataset()
+        query = [r for r in records if r.split == "query"]
+        gallery = [r for r in records if r.split == "gallery"]
+        expect = evaluate(
+            extract_all_features(stack_pixels(query), params),
+            np.array([r.pid for r in query]), np.array([r.camid for r in query]),
+            extract_all_features(stack_pixels(gallery), params),
+            np.array([r.pid for r in gallery]), np.array([r.camid for r in gallery]),
+        )
+        got = retrieval_metrics(params, records)
+        assert got.queries_evaluated == len(query)
+        assert got == expect
+
+    def test_empty_split_refused_with_counts(self):
+        records = [r for r in tiny_dataset() if r.split != "gallery"]
+        with pytest.raises(ContractError, match="got 8 query and 0 gallery"):
+            retrieval_metrics(tiny_backbone(), records)
 
 
 class TestGradCam:
@@ -258,7 +289,23 @@ class TestGradCam:
         with pytest.raises(ContractError, match="cluster id"):
             grad_cam_heatmap(tiny_record(), params, memory=mem, cluster_id=3)
         with pytest.raises(ContractError, match="cluster id"):
-            grad_cam_heatmap(tiny_record(), params, memory=mem, cluster_id=None)
+            grad_cam_heatmap(tiny_record(), params, memory=mem, cluster_id=-1)
+
+    def test_default_cluster_is_the_nearest_to_the_image_embedding(self):
+        """With a memory and no cluster id, the map explains the nearest cluster, as if it were given."""
+        params = tiny_backbone()
+        records = [tiny_record(seed) for seed in range(4)]
+        # each image's own embedding is a centroid, in reverse order, so each picks another cluster
+        own = extract_all_features(stack_pixels(records), params)
+        mem = MemoryDictionary(own[::-1].copy(), tau=0.05, mu=0.1)
+        for i, record in enumerate(records):
+            feature = extract_all_features(record.pixels[None, ...], params)[0]
+            nearest = int(np.argmax(mem.centroids @ feature))
+            assert nearest == len(records) - 1 - i
+            hm = grad_cam_heatmap(record, params, mem)
+            given = grad_cam_heatmap(record, params, mem, nearest)
+            assert hm.target == given.target == f"cluster {nearest} logit"
+            assert hm.grid.tobytes() == given.grid.tobytes()
 
     def test_normalization_is_idempotent(self):
         """Normalizing an already-normalized map changes nothing."""
@@ -274,7 +321,7 @@ class TestExportHeatmap:
     def test_csv_round_trips_exact_floats(self, tmp_path):
         rng = np.random.default_rng(24)
         grid = rng.uniform(0, 1, size=(4, 2))
-        hm = Heatmap(grid=grid, source_path="none", target="test")
+        hm = Heatmap(grid=grid, target="test")
         export_heatmap(hm, tmp_path / "hm", source_pixels=np.zeros((8, 4, 3)))
         loaded = np.loadtxt(tmp_path / "hm.csv", delimiter=",")
         np.testing.assert_array_equal(loaded, grid)
@@ -282,7 +329,7 @@ class TestExportHeatmap:
     def test_zero_map_blends_pure_blue(self, tmp_path):
         """An all-zero map tints the source toward blue at alpha 0.5."""
         source = np.full((4, 4, 3), 0.4)
-        hm = Heatmap(grid=np.zeros((2, 2)), source_path="none", target="test")
+        hm = Heatmap(grid=np.zeros((2, 2)), target="test")
         export_heatmap(hm, tmp_path / "hm", source_pixels=source)
         overlay = read_ppm(tmp_path / "hm.ppm")
         expect = 0.5 * source + 0.5 * np.array([0.0, 0.0, 1.0])
@@ -290,18 +337,6 @@ class TestExportHeatmap:
 
     def test_overlay_size_matches_source(self, tmp_path):
         source = np.zeros((16, 8, 3))
-        hm = Heatmap(grid=np.ones((2, 2)), source_path="none", target="test")
+        hm = Heatmap(grid=np.ones((2, 2)), target="test")
         export_heatmap(hm, tmp_path / "hm", source_pixels=source)
         assert read_ppm(tmp_path / "hm.ppm").shape == (16, 8, 3)
-
-    def test_overlay_reads_source_from_path(self, tmp_path):
-        """Without explicit pixels the exporter reads the heatmap's source path."""
-        from mlareid.dataio import write_ppm
-
-        src = tmp_path / "src.ppm"
-        write_ppm(src, np.full((4, 4, 3), 0.2))
-        hm = Heatmap(grid=np.zeros((2, 2)), source_path=str(src), target="test")
-        export_heatmap(hm, tmp_path / "hm")
-        overlay = read_ppm(tmp_path / "hm.ppm")
-        expect = 0.5 * np.round(np.full((4, 4, 3), 0.2) * 255) / 255 + 0.5 * np.array([0, 0, 1.0])
-        np.testing.assert_allclose(overlay, np.round(expect * 255) / 255, atol=1e-12)
