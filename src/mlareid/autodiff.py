@@ -5,8 +5,8 @@ is built from the ops here. Conventions:
 
 * float64 throughout; image-like data is row-major NHWC,
 * the tape is built eagerly per forward pass and freed by ``backward``;
-  inside ``no_grad()`` none is built, so forward-only passes keep no
-  intermediates alive and compute the same bits,
+  inside ``no_grad()`` (per thread) none is built, so forward-only passes
+  keep no intermediates alive and compute the same bits,
 * identical inputs give bit-identical outputs on a single thread,
 * normalization ops guard zero denominators with ``NORM_EPS``.
 
@@ -16,6 +16,7 @@ explicitly zeroed; a tensor outside the tape never receives one.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -156,7 +157,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    on = True  # per thread: no_grad() in one thread leaves the others' tape on
+
+
+_grad_enabled = _GradMode()
 
 
 @contextmanager
@@ -164,20 +169,19 @@ def no_grad() -> Iterator[None]:
     """Build no tape inside the block: outputs carry no parents or grad flag.
 
     Forward values are unchanged; state mutation such as batch-norm
-    running statistics still happens. The previous mode is restored on
-    exit, also when the block raises or contexts nest.
+    running statistics still happens. The calling thread's previous mode
+    is restored on exit, also when the block raises or contexts nest.
     """
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+    previous, _grad_enabled.on = _grad_enabled.on, False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.on = previous
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -11,16 +11,19 @@ contract/usage errors, 2 for I/O errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads: extraction already uses every core
+import numpy as np  # noqa: E402
 
-from .dataio import SynthSpec, load_dataset, synth_generate
-from .errors import ContractError
-from .evalviz import export_heatmap, grad_cam_heatmap, retrieval_metrics, write_metrics_csv
-from .pipeline import (
+from .dataio import SynthSpec, load_dataset, synth_generate  # noqa: E402
+from .errors import ContractError  # noqa: E402
+from .evalviz import export_heatmap, grad_cam_heatmap, retrieval_metrics, write_metrics_csv  # noqa: E402
+from .pipeline import (  # noqa: E402
     TrainConfig,
     apply_config_lines,
     config_lines,
@@ -28,7 +31,7 @@ from .pipeline import (
     parse_config,
     run_training,
 )
-from .verify import run_gradient_suite
+from .verify import run_gradient_suite  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1

@@ -1,10 +1,10 @@
 """The alternating cluster/train loop with PK sampling and checkpointing.
 
-Each clustering iteration extracts all features in eval mode, runs DBSCAN,
-re-initializes the memory dictionary from the fresh clusters, then makes
-one (configurable) pass of PK batches: forward in train mode, ClusterNCE
-loss, Adam step, batch-hard memory update. Per-iteration randomness (the
-memory pick, the batch order, augmentation) is derived from
+Each clustering iteration extracts all features in eval mode on every core,
+runs DBSCAN, re-initializes the memory dictionary from the fresh clusters,
+then makes one (configurable) pass of PK batches: forward in train mode,
+ClusterNCE loss, Adam step, batch-hard memory update. Per-iteration
+randomness (the memory pick, the batch order, augmentation) is derived from
 (seed, iteration), so resuming from a checkpoint written at an iteration
 boundary replays the remaining iterations bit-for-bit. ``run_training``
 writes ``checkpoint.bin`` after every iteration: parameters, running stats,
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -44,7 +46,8 @@ from .errors import ConfigError, ContractError, DataFormatError
 from .layers import parameters
 
 REPORT_HEADER = "iter,K,noise_frac,mean_loss,lr,skipped,batches,seconds"
-FEATURE_CHUNK = 32  # fixed eval-extraction batch so runs stay bit-comparable
+FEATURE_CHUNK = 8  # fixed eval-extraction batch so runs stay bit-comparable
+WARMUP_CHUNK = 32  # fixed warmup batch: train-mode batch statistics depend on the batch
 
 # per-iteration seed stream tags
 _TAG_MEMORY = 1
@@ -250,21 +253,31 @@ def _derived_seed(*keys: int) -> int:
 
 
 def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarray:
-    """Eval-mode features in fixed-size chunks (fixed so runs compare bit-wise)."""
-    outs = []
-    with no_grad():
-        for start in range(0, pixels.shape[0], FEATURE_CHUNK):
-            batch = Tensor(pixels[start:start + FEATURE_CHUNK])
-            outs.append(extract_features(batch, params, training=False).data)
-    return np.concatenate(outs, axis=0)
+    """Eval-mode features in input order, computed on every usable core.
+
+    The calling thread (so its heap arena, which training reuses, serves too) and one pool
+    thread per other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count.
+    """
+    starts = range(0, pixels.shape[0], FEATURE_CHUNK)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    streams = max(1, min(cores or 1, len(starts)))
+
+    def run_stream(first: int) -> list[np.ndarray]:
+        with no_grad():  # per thread
+            return [extract_features(Tensor(pixels[s:s + FEATURE_CHUNK]), params, training=False).data
+                    for s in starts[first::streams]]
+    with ThreadPoolExecutor(max(streams - 1, 1)) as pool:
+        others = pool.map(run_stream, range(1, streams))
+        outs = [run_stream(0), *others]  # reads every pool result, re-raising its error
+    return np.concatenate([outs[i % streams][i // streams] for i in range(len(starts))], axis=0)
 
 
 def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:
     """Settle batch-norm running stats with tape-free training-mode forwards."""
     with no_grad():
         for _ in range(passes):
-            for start in range(0, pixels.shape[0], FEATURE_CHUNK):
-                extract_features(Tensor(pixels[start:start + FEATURE_CHUNK]), params, training=True)
+            for start in range(0, pixels.shape[0], WARMUP_CHUNK):
+                extract_features(Tensor(pixels[start:start + WARMUP_CHUNK]), params, training=True)
 
 
 def _augment_batch(pixels: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Training-loop tests: sampler contracts, LR schedule, Adam, resume."""
+"""Training-loop tests: sampler contracts, LR schedule, Adam, resume, extraction."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -582,3 +584,130 @@ class TestTapeFreeExtraction:
             assert out.requires_grad
             taped.append(out.data)
         assert extract_all_features(pixels, params).tobytes() == np.concatenate(taped).tobytes()
+
+
+def pin_cores(monkeypatch, n):
+    """Make ``n`` cores look usable to extract_all_features."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def within(seconds, fn, *args):
+    """fn(*args) on its own thread, failing the test if it has not returned in ``seconds``."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn(*args)
+        except BaseException as exc:  # re-raised on the test's thread
+            result["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"no return within {seconds} s"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+class TestParallelExtraction:
+    """extract_all_features shares fixed chunks between the caller and a pool."""
+
+    @staticmethod
+    def warmed(mode, n, seed):
+        from mlareid.backbone import build_backbone
+        from mlareid.pipeline import bn_warmup
+
+        rng = np.random.default_rng(seed)
+        pixels = rng.uniform(0.0, 1.0, size=(n, 16, 16, 3))
+        params = build_backbone(tiny_backbone(mode), seed)
+        bn_warmup(params, rng.uniform(0.0, 1.0, size=(8, 16, 16, 3)), 1)
+        return pixels, params
+
+    @staticmethod
+    def sequential(pixels, params):
+        from mlareid.autodiff import no_grad
+        from mlareid.backbone import extract_features
+        from mlareid.pipeline import FEATURE_CHUNK
+
+        with no_grad():
+            return np.concatenate([
+                extract_features(Tensor(pixels[s:s + FEATURE_CHUNK]), params, training=False).data
+                for s in range(0, pixels.shape[0], FEATURE_CHUNK)
+            ])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bytes_equal_a_sequential_chunk_loop(self, mode):
+        from mlareid.pipeline import extract_all_features
+
+        for n in (1, 8, 17, 35):
+            pixels, params = self.warmed(mode, n, MODES.index(mode))
+            got = extract_all_features(pixels, params)
+            assert got.shape == (n, 4)
+            assert got.tobytes() == self.sequential(pixels, params).tobytes(), n
+
+    def test_bytes_do_not_depend_on_the_pool_width(self, monkeypatch):
+        import mlareid.pipeline
+
+        pixels, params = self.warmed("all", 35, 7)
+        want = self.sequential(pixels, params).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for cores in (1, 2, 8):
+                pin_cores(monkeypatch, cores)
+                got = within(120, mlareid.pipeline.extract_all_features, pixels, params)
+                assert got.tobytes() == want, cores
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_a_failing_chunk_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        """Of five chunks on four streams, 0 runs on the calling thread, 1 and 3 on pool threads."""
+        import mlareid.pipeline
+        from mlareid.backbone import extract_features
+        from mlareid.pipeline import FEATURE_CHUNK
+
+        pixels, params = self.warmed("baseline", 5 * FEATURE_CHUNK, 3)
+        bad_first_pixel = pixels[failing * FEATURE_CHUNK].tobytes()
+
+        def extract_or_fail(batch, *args, **kwargs):
+            if batch.data[0].tobytes() == bad_first_pixel:
+                raise RuntimeError(f"chunk {failing} failed")
+            return extract_features(batch, *args, **kwargs)
+
+        pin_cores(monkeypatch, 4)
+        monkeypatch.setattr(mlareid.pipeline, "extract_features", extract_or_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+            mlareid.pipeline.extract_all_features(pixels, params)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_the_callers_grad_mode_is_kept(self, monkeypatch, fail):
+        import mlareid.pipeline
+        from mlareid import autodiff
+
+        pixels, params = self.warmed("baseline", 17, 4)
+        if fail:
+            def boom(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(mlareid.pipeline, "extract_features", boom)
+        pin_cores(monkeypatch, 2)
+        x = Tensor([1.0], requires_grad=True)
+
+        def extract():
+            try:
+                mlareid.pipeline.extract_all_features(pixels, params)
+            except RuntimeError:
+                assert fail
+
+        extract()
+        assert (x * x).requires_grad
+        with autodiff.no_grad():
+            extract()
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad

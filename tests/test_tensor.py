@@ -1,5 +1,7 @@
 """Tensor arithmetic and reverse-mode gradients against loop oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -485,6 +487,33 @@ class TestNoGrad:
             with ad.no_grad():
                 raise RuntimeError("boom")
         assert (x * x).requires_grad
+
+    def test_mode_is_per_thread(self):
+        """While one thread holds no_grad(), a forward in a second thread still builds a tape."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        k = Tensor(np.ones((1, 1, 3, 2)), requires_grad=True)
+        holding, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold():
+            with ad.no_grad():
+                seen["held"] = (x * x).requires_grad
+                holding.set()
+                done.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert holding.wait(timeout=30)
+            out = relu(conv2d(x.reshape(1, 2, 1, 3), k)).sum()
+            assert out.requires_grad and out._backward is not None
+            out.backward()
+            assert k.grad is not None
+        finally:
+            done.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert seen["held"] is False
 
     def test_training_batch_norm_updates_running_stats(self):
         """Running statistics update under no_grad exactly as with the tape."""
