@@ -11,14 +11,17 @@ model looks. Takes about fifteen seconds.
 Run:  python3 demos/04_train_and_retrieve.py
 """
 
+import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads: extraction already uses every core
+import numpy as np  # noqa: E402
 
-from mlareid.dataio import SynthSpec, load_dataset, synth_generate
-from mlareid.evalviz import evaluate, export_heatmap, grad_cam_heatmap, retrieval_metrics
-from mlareid.pipeline import TrainConfig, load_backbone_from_checkpoint, run_training
+from mlareid.dataio import SynthSpec, load_dataset, synth_generate  # noqa: E402
+from mlareid.evalviz import evaluate, export_heatmap, grad_cam_heatmap, retrieval_metrics  # noqa: E402
+from mlareid.pipeline import TrainConfig, load_backbone_from_checkpoint, run_training  # noqa: E402
 
 root = Path(tempfile.mkdtemp(prefix="mlareid_e2e_"))
 data = root / "data"

@@ -4,9 +4,12 @@ Every downstream module (attention operators, backbone, contrastive loss)
 is built from the ops here. Conventions:
 
 * float64 throughout; image-like data is row-major NHWC,
-* the tape is built eagerly per forward pass and freed by ``backward``;
-  inside ``no_grad()`` (per thread) none is built, so forward-only passes
-  keep no intermediates alive and compute the same bits,
+* each op states only its math: one gradient rule per input, mapping the
+  output's gradient to that input's. The tape, built eagerly per forward
+  pass and freed by ``Tensor.backward``, applies them: it skips inputs
+  that need no gradient, sums each result to its input's shape and adds
+  it into ``grad``. Inside ``no_grad()`` (per thread) no tape is built, so
+  forward-only passes keep no intermediates alive and compute the same bits,
 * identical inputs give bit-identical outputs on a single thread,
 * normalization ops guard zero denominators with ``NORM_EPS``.
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +29,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, DimensionError
 
 NORM_EPS = 1e-12  # inside l1/l2 norms and batch-norm variance
+
+# Maps an op's output gradient to one input's gradient, before it is summed to that input's shape.
+Rule = Callable[[np.ndarray], np.ndarray]
 
 
 class Tensor:
@@ -35,8 +41,7 @@ class Tensor:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._rules: tuple[tuple[Tensor, Rule], ...] = ()  # (input, gradient rule) per op input
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,8 +65,11 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every tensor reachable from this scalar.
 
-        The graph is released afterwards (no reuse); gradients of leaves
-        accumulate across calls unless zeroed.
+        Each node's rules run in the order its op lists its inputs, and only
+        for inputs that require a gradient; each result is summed to its
+        input's shape and added into that input's ``grad``. The graph is
+        released afterwards (no reuse); gradients of leaves accumulate
+        across calls unless zeroed.
         """
         if self.data.size != 1:
             raise ContractError(f"backward expects a scalar loss, got shape {self.shape}")
@@ -77,14 +85,14 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, _ in node._rules:
                 stack.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
+            for parent, rule in node._rules:
+                if parent.requires_grad:
+                    _accumulate(parent, _unbroadcast(rule(node.grad), parent.shape))
+            node._rules = ()
 
     # Operator sugar; the module-level functions are the canonical API.
     def __add__(self, other):
@@ -179,12 +187,12 @@ def no_grad() -> Iterator[None]:
         _grad_enabled.on = previous
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+def _make(data: np.ndarray, *rules: tuple[Tensor, Rule]) -> Tensor:
+    """A tensor of ``data`` that keeps its ``(input, rule)`` pairs when the tape is on and needs them."""
     out = Tensor(data)
-    if _grad_enabled.on and any(p.requires_grad for p in parents):
+    if _grad_enabled.on and any(t.requires_grad for t, _ in rules):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._rules = rules
     return out
 
 
@@ -215,111 +223,53 @@ def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check(a, b, "add")
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check(a, b, "sub")
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check(a, b, "mul")
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check(a, b, "div")
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data / b.data, (a, lambda g: g / b.data),
+                 (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
-
-    return _make(-a.data, (a,), backward)
+    return _make(-a.data, (a, lambda g: -g))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * data)
-
-    return _make(data, (a,), backward)
+    return _make(data, (a, lambda g: g * data))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g / a.data)
-
-    return _make(data, (a,), backward)
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / data)
-
-    return _make(data, (a,), backward)
+    return _make(data, (a, lambda g: g * 0.5 / data))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0.0))
-
-    return _make(data, (a,), backward)
+    return _make(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def sigmoid(a) -> Tensor:
@@ -327,89 +277,55 @@ def sigmoid(a) -> Tensor:
     x = a.data
     # stable in both tails
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
+    return _make(data, (a, lambda g: g * data * (1.0 - data)))
 
 
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------------
 
+def _spread(g: np.ndarray, axis, keepdims: bool, shape: tuple[int, ...]) -> np.ndarray:
+    """A reduction's output gradient broadcast back over the axes it reduced."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        gx = g
-        if not keepdims:
-            gx = np.expand_dims(gx, axis)
-        _accumulate(a, np.broadcast_to(gx, a.shape).copy())
-
-    return _make(data, (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, lambda g: _spread(g, axis, keepdims, a.shape)))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        gx = g / count
-        if axis is not None and not keepdims:
-            gx = np.expand_dims(gx, axis)
-        _accumulate(a, np.broadcast_to(gx, a.shape).copy())
-
-    return _make(data, (a,), backward)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims),
+                 (a, lambda g: _spread(g / count, axis, keepdims, a.shape)))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     orig = a.shape
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(orig))
-
-    return _make(data, (a,), backward)
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    data = a.data.transpose(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse))
-
-    return _make(data, (a,), backward)
+    return _make(a.data.transpose(axes), (a, lambda g: g.transpose(inverse)))
 
 
 def getitem(a, idx) -> Tensor:
     """Slice or fancy indexing; duplicate indices accumulate on the way back."""
     a = as_tensor(a)
-    data = a.data[idx]
 
-    def backward(g):
-        if a.requires_grad:
-            gx = np.zeros_like(a.data)
-            np.add.at(gx, idx, g)
-            _accumulate(a, gx)
+    def rule(g):
+        gx = np.zeros_like(a.data)
+        np.add.at(gx, idx, g)
+        return gx
 
-    return _make(np.ascontiguousarray(data), (a,), backward)
+    return _make(np.ascontiguousarray(a.data[idx]), (a, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +342,9 @@ def matmul(a, b) -> Tensor:
             f"matmul: inner dimensions disagree, {a.shape[-1]} (axis {a.ndim - 1} of a) "
             f"vs {b.shape[-2]} (axis {b.ndim - 2} of b)"
         )
-    data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(np.matmul(a.data, b.data),
+                 (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
+                 (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
 def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
@@ -486,26 +394,23 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
     if b is not None:
         data = data + b.data
 
-    def backward(g):
-        if kernel.requires_grad:
-            # recomputed rather than kept on the tape, which would hold it for the whole step
-            gk = np.dot(im2col().T, g.reshape(-1, c_out))
-            _accumulate(kernel, gk.reshape(kernel.shape))
-        if x.requires_grad:
-            gpad = np.zeros_like(padded)
-            for a_off in range(kh):
-                for b_off in range(kw):
-                    sl_h = slice(a_off, a_off + stride * h_out, stride)
-                    sl_w = slice(b_off, b_off + stride * w_out, stride)
-                    gpad[:, sl_h, sl_w, :] += np.matmul(g, kernel.data[a_off, b_off].T)
-            if zero_pad:
-                gpad = gpad[:, zero_pad:hp - zero_pad, zero_pad:wp - zero_pad, :]
-            _accumulate(x, gpad)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 1, 2)))
+    def input_rule(g):
+        gpad = np.zeros_like(padded)
+        for a_off in range(kh):
+            for b_off in range(kw):
+                sl_h = slice(a_off, a_off + stride * h_out, stride)
+                sl_w = slice(b_off, b_off + stride * w_out, stride)
+                gpad[:, sl_h, sl_w, :] += np.matmul(g, kernel.data[a_off, b_off].T)
+        if zero_pad:
+            gpad = gpad[:, zero_pad:hp - zero_pad, zero_pad:wp - zero_pad, :]
+        return gpad
 
-    parents = (x, kernel) if b is None else (x, kernel, b)
-    return _make(np.ascontiguousarray(data), parents, backward)
+    def kernel_rule(g):
+        # im2col recomputed rather than kept on the tape, which would hold it for the whole step
+        return np.dot(im2col().T, g.reshape(-1, c_out)).reshape(kernel.shape)
+
+    bias_rule = () if b is None else ((b, lambda g: g),)
+    return _make(np.ascontiguousarray(data), (x, input_rule), (kernel, kernel_rule), *bias_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +425,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            _accumulate(x, data * (g - dot))
-
-    return _make(data, (x,), backward)
+    return _make(data, (x, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True))))
 
 
 def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
@@ -541,14 +440,8 @@ def l2_normalize(x, axis=-1) -> Tensor:
     axes = _axis_tuple(axis, x.ndim)
     sq = (x.data * x.data).sum(axis=axes, keepdims=True) + NORM_EPS
     r = np.sqrt(sq)
-    data = x.data / r
-
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * x.data).sum(axis=axes, keepdims=True)
-            _accumulate(x, g / r - x.data * dot / (sq * r))
-
-    return _make(data, (x,), backward)
+    return _make(x.data / r,
+                 (x, lambda g: g / r - x.data * (g * x.data).sum(axis=axes, keepdims=True) / (sq * r)))
 
 
 def l1_normalize(x, axis=-1) -> Tensor:
@@ -556,14 +449,11 @@ def l1_normalize(x, axis=-1) -> Tensor:
     x = as_tensor(x)
     axes = _axis_tuple(axis, x.ndim)
     d = np.abs(x.data).sum(axis=axes, keepdims=True) + NORM_EPS
-    data = x.data / d
 
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * x.data).sum(axis=axes, keepdims=True)
-            _accumulate(x, g / d - np.sign(x.data) * dot / (d * d))
+    def rule(g):
+        return g / d - np.sign(x.data) * (g * x.data).sum(axis=axes, keepdims=True) / (d * d)
 
-    return _make(data, (x,), backward)
+    return _make(x.data / d, (x, rule))
 
 
 def global_avg_pool(x) -> Tensor:
@@ -572,33 +462,31 @@ def global_avg_pool(x) -> Tensor:
     if x.ndim != 4:
         raise DimensionError(f"global_avg_pool: input must be NHWC rank 4, got shape {x.shape}")
     n, h, w, c = x.shape
-    data = x.data.mean(axis=(1, 2))
+    return _make(x.data.mean(axis=(1, 2)),
+                 (x, lambda g: np.broadcast_to(g[:, None, None, :] / (h * w), x.shape)))
 
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g[:, None, None, :] / (h * w), x.shape).copy())
 
-    return _make(data, (x,), backward)
+BN_MOMENTUM = 0.1  # weight of each training batch's statistics in the running ones
 
 
 class BatchNormState:
     """Running statistics for one batch-norm site (not tape-tracked)."""
 
-    def __init__(self, channels: int, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     """Per-channel batch norm over all leading axes (channels last).
 
     Training mode normalizes by biased batch statistics and folds them into
-    the running stats; eval mode uses the frozen running stats. Each mode is
-    one tape node that repeats, in the same order, the arithmetic of the
-    elementwise ops it replaces (mean, sub, mul, sqrt, div, add), so values
-    and gradients are bit-equal to that composed chain without its
-    temporaries. The running update is state mutation outside the tape.
+    the running stats with weight ``BN_MOMENTUM``; eval mode uses the frozen
+    running stats. Each mode is one tape node that repeats, in the same
+    order, the arithmetic of the elementwise ops it replaces (mean, sub,
+    mul, sqrt, div, add), so values and gradients are bit-equal to that
+    composed chain without its temporaries. The running update is state
+    mutation outside the tape.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -615,37 +503,22 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
         data *= scale
         data *= gam
         data += beta.data.reshape(bshape)
-
-        def backward(g):
-            if x.requires_grad:
-                _accumulate(x, (g * gam) * scale)
-            if gamma.requires_grad:
-                _accumulate(gamma, _unbroadcast(g * ((x.data - rm) * scale), bshape).reshape(c))
-            if beta.requires_grad:
-                _accumulate(beta, _unbroadcast(g, bshape).reshape(c))
-
-        return _make(data, (x, gamma, beta), backward)
+        return _make(data, (x, lambda g: (g * gam) * scale),
+                     (gamma, lambda g: g * ((x.data - rm) * scale)), (beta, lambda g: g))
     axes = tuple(range(x.ndim - 1))
     count = x.size // c
     m = x.data.mean(axis=axes, keepdims=True)
     centered = x.data - m
     v = (centered * centered).mean(axis=axes, keepdims=True)
-    mom = state.momentum
-    state.running_mean = (1.0 - mom) * state.running_mean + mom * m.reshape(c)
-    state.running_var = (1.0 - mom) * state.running_var + mom * v.reshape(c)
+    state.running_mean = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * m.reshape(c)
+    state.running_var = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * v.reshape(c)
     s = np.sqrt(v + NORM_EPS)
     inv = 1.0 / s
     data = centered * inv
     data *= gam
     data += beta.data.reshape(bshape)
 
-    def backward(g):
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, bshape).reshape(c))
-        if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * (centered * inv), bshape).reshape(c))
-        if not x.requires_grad:
-            return
+    def input_rule(g):
         # The composed chain's backward, in tape order: through the scale
         # 1/sqrt(v + eps), through both factors of centered*centered, then
         # through the mean subtracted from x.
@@ -658,9 +531,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
         gx += t
         gx += t
         gx += _unbroadcast(-gx, bshape) / count
-        _accumulate(x, gx)
+        return gx
 
-    return _make(data, (x, gamma, beta), backward)
+    return _make(data, (x, input_rule), (gamma, lambda g: g * (centered * inv)), (beta, lambda g: g))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
     while pos < total:
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{path}: checkpoint entry {len(entries)} name {raw_name!r} is not UTF-8 ({exc})"
+            ) from None
         if name in entries:
             raise DataFormatError(f"{path}: duplicate checkpoint entry {name!r}")
         (rank,) = struct.unpack("<I", take(4, "rank"))

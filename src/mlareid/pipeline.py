@@ -386,7 +386,10 @@ def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
     """The UTF-8 text stored under ``name``, one float64 per byte (round-trips exactly)."""
     if name not in entries:
         raise DataFormatError(f"checkpoint {path} lacks {name!r}")
-    return entries[name].astype(np.uint8).tobytes().decode("utf-8")
+    try:
+        return entries[name].astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"checkpoint {path} {name} is not UTF-8 text ({exc})") from None
 
 
 def _stored_config(entries: dict[str, np.ndarray], name: str, default, path):

@@ -9,6 +9,8 @@ acceptance test, so the list of names is part of the public surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -41,84 +43,37 @@ class GradCheckResult:
         return self.max_error < self.tolerance
 
 
-def _probe(rng: np.random.Generator, shape) -> Parameter:
-    return Parameter("probe", rng.standard_normal(shape) * 0.5)
+def _op_check(shape, make_op: Callable[[np.random.Generator], Callable[[Tensor], Tensor]]):
+    """The check of ``(op(t) * w).sum()`` for a probe ``t`` of ``shape`` and a random ``w``.
+
+    ``make_op(rng)`` draws the op's own parameters, before the probe and ``w``.
+    """
+
+    def check(rng: np.random.Generator) -> float:
+        op = make_op(rng)
+        x = Parameter("probe", rng.standard_normal(shape) * 0.5)
+        with autodiff.no_grad():
+            w = Tensor(rng.standard_normal(op(x).shape))
+        return finite_diff_check(lambda t: (op(t) * w).sum(), x)
+
+    return check
 
 
-def _check_conv2d(rng: np.random.Generator) -> float:
-    x = _probe(rng, (2, 5, 4, 3))
+def _conv2d(rng: np.random.Generator):
     k = Parameter("k", rng.standard_normal((3, 3, 3, 4)) * 0.3)
     b = Parameter("b", rng.standard_normal(4) * 0.1)
-    w = rng.standard_normal((2, 3, 2, 4))
-
-    def loss(t: Tensor) -> Tensor:
-        return (autodiff.conv2d(t, k, bias=b, stride=1, zero_pad=0) * Tensor(w)).sum()
-
-    return finite_diff_check(loss, x)
+    return lambda t: autodiff.conv2d(t, k, bias=b, stride=1, zero_pad=0)
 
 
-def _check_matmul(rng: np.random.Generator) -> float:
-    x = _probe(rng, (4, 3))
+def _matmul(rng: np.random.Generator):
     m = Tensor(rng.standard_normal((3, 5)))
-    w = rng.standard_normal((4, 5))
-    return finite_diff_check(lambda t: ((t @ m) * Tensor(w)).sum(), x)
+    return lambda t: t @ m
 
 
-def _check_softmax(rng: np.random.Generator) -> float:
-    x = _probe(rng, (3, 6))
-    w = rng.standard_normal((3, 6))
-    return finite_diff_check(
-        lambda t: (autodiff.softmax(t, axis=-1) * Tensor(w)).sum(), x
-    )
-
-
-def _check_sigmoid(rng: np.random.Generator) -> float:
-    x = _probe(rng, (4, 4))
-    w = rng.standard_normal((4, 4))
-    return finite_diff_check(lambda t: (autodiff.sigmoid(t) * Tensor(w)).sum(), x)
-
-
-def _check_l2_normalize(rng: np.random.Generator) -> float:
-    x = _probe(rng, (3, 8))
-    w = rng.standard_normal((3, 8))
-    return finite_diff_check(
-        lambda t: (autodiff.l2_normalize(t, axis=1) * Tensor(w)).sum(), x
-    )
-
-
-def _check_batch_norm(rng: np.random.Generator) -> float:
-    x = _probe(rng, (3, 4, 2, 5))
+def _batch_norm(rng: np.random.Generator):
     gamma = Parameter("g", 1.0 + 0.1 * rng.standard_normal(5))
     beta = Parameter("be", 0.1 * rng.standard_normal(5))
-    w = rng.standard_normal((3, 4, 2, 5))
-
-    def loss(t: Tensor) -> Tensor:
-        state = autodiff.BatchNormState(5)
-        out = autodiff.batch_norm(t, gamma, beta, state, training=True)
-        return (out * Tensor(w)).sum()
-
-    return finite_diff_check(loss, x)
-
-
-def _check_pla(rng: np.random.Generator) -> float:
-    p = init_pla(rng, 3, "pla")
-    x = _probe(rng, (2, 4, 3, 3))
-    w = rng.standard_normal((2, 4, 3, 3))
-    return finite_diff_check(lambda t: (pla_forward(t, p) * Tensor(w)).sum(), x)
-
-
-def _check_hla(rng: np.random.Generator) -> float:
-    p = init_hla(rng, 4, heads=2, h_max=4, w_max=3, name="hla")
-    x = _probe(rng, (2, 4, 3, 4))
-    w = rng.standard_normal((2, 4, 3, 4))
-    return finite_diff_check(lambda t: (hla_forward(t, p) * Tensor(w)).sum(), x)
-
-
-def _check_dla(rng: np.random.Generator) -> float:
-    p = init_dla(rng, 4, c_k=3, name="dla")
-    x = _probe(rng, (2, 3, 3, 4))
-    w = rng.standard_normal((2, 3, 3, 4))
-    return finite_diff_check(lambda t: (dla_forward(t, p) * Tensor(w)).sum(), x)
+    return lambda t: autodiff.batch_norm(t, gamma, beta, autodiff.BatchNormState(5), training=True)
 
 
 def _make_block(rng: np.random.Generator) -> MlaBlockParams:
@@ -135,17 +90,6 @@ def _make_block(rng: np.random.Generator) -> MlaBlockParams:
         name="blk",
         stride=1,
     )
-
-
-def _check_mla_block(rng: np.random.Generator) -> float:
-    p = _make_block(rng)
-    x = _probe(rng, (2, 3, 3, 4))
-    w = rng.standard_normal((2, 3, 3, 8))
-
-    def loss(t: Tensor) -> Tensor:
-        return (mla_block_forward(t, p, training=True) * Tensor(w)).sum()
-
-    return finite_diff_check(loss, x)
 
 
 def _check_mla_block_params(rng: np.random.Generator) -> float:
@@ -173,16 +117,18 @@ def _check_cluster_nce(rng: np.random.Generator) -> float:
 
 
 _CHECKS = {
-    "conv2d": _check_conv2d,
-    "matmul": _check_matmul,
-    "softmax": _check_softmax,
-    "sigmoid": _check_sigmoid,
-    "l2_normalize": _check_l2_normalize,
-    "batch_norm": _check_batch_norm,
-    "pla": _check_pla,
-    "hla": _check_hla,
-    "dla": _check_dla,
-    "mla_block": _check_mla_block,
+    "conv2d": _op_check((2, 5, 4, 3), _conv2d),
+    "matmul": _op_check((4, 3), _matmul),
+    "softmax": _op_check((3, 6), lambda rng: lambda t: autodiff.softmax(t, axis=-1)),
+    "sigmoid": _op_check((4, 4), lambda rng: autodiff.sigmoid),
+    "l2_normalize": _op_check((3, 8), lambda rng: lambda t: autodiff.l2_normalize(t, axis=1)),
+    "batch_norm": _op_check((3, 4, 2, 5), _batch_norm),
+    "pla": _op_check((2, 4, 3, 3), lambda rng: partial(pla_forward, p=init_pla(rng, 3, "pla"))),
+    "hla": _op_check((2, 4, 3, 4), lambda rng: partial(
+        hla_forward, p=init_hla(rng, 4, heads=2, h_max=4, w_max=3, name="hla"))),
+    "dla": _op_check((2, 3, 3, 4), lambda rng: partial(dla_forward, p=init_dla(rng, 4, c_k=3, name="dla"))),
+    "mla_block": _op_check((2, 3, 3, 4), lambda rng: partial(
+        mla_block_forward, p=_make_block(rng), training=True)),
     "mla_block_params": _check_mla_block_params,
     "cluster_nce_loss": _check_cluster_nce,
 }

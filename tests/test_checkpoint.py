@@ -96,6 +96,15 @@ class TestCorruption:
         with pytest.raises(DataFormatError, match="duplicate"):
             load_checkpoint(path)
 
+    def test_name_not_utf8_rejected_naming_file_and_entry(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"w": np.array([1.0]), "bias": np.array([2.0])})
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"bias")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=r"ckpt\.bin: checkpoint entry 1 name b'\\xffias' is not"):
+            load_checkpoint(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.bin")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlareid import backbone, evalviz
+from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.cli import build_parser, main
 from mlareid.dataio import read_ppm
 from mlareid.pipeline import load_backbone_from_checkpoint
@@ -228,6 +229,21 @@ class TestEval:
             "--checkpoint", str(workspace / "missing.bin"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("corrupt", ["entry name", "meta.train text"])
+    def test_checkpoint_not_utf8_exits_two_naming_file(self, workspace, tmp_path, corrupt, capsys):
+        bad = tmp_path / "bad.bin"
+        if corrupt == "entry name":
+            blob = bytearray((workspace / "run" / "checkpoint.bin").read_bytes())
+            blob[8] = 0xFF  # first byte of the first entry's name, after magic and name length
+            bad.write_bytes(bytes(blob))
+        else:
+            entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+            entries["meta.train"][0] = 255.0
+            save_checkpoint(bad, entries)
+        code = main(["eval", "--data", str(workspace / "data"), "--checkpoint", str(bad)])
+        assert code == 2
+        assert "bad.bin" in capsys.readouterr().err
 
 
 class TestHeatmap:

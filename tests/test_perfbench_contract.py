@@ -1,0 +1,59 @@
+"""The benchmark's hooks into the library: every traced span finds its target, and the desk config validates.
+
+The benchmark under ``perfbench/`` patches library callables by name and
+builds its desk run from ``TrainConfig`` fields, so a renamed function, a
+method moved out of its class body or a removed config field breaks it.
+These tests catch that in the test suite instead of in a benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlareid.autodiff import Tensor
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's ``tracing`` and ``workloads`` modules, imported from its directory."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("tracing"), importlib.import_module("workloads")
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def _resolve(target: str):
+    """The owner (module or class) of a span's target, its attribute name, and what it holds now."""
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *classes, attr = path.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    return owner, attr, vars(owner)[attr]
+
+
+def test_every_span_patches_its_target_and_exit_restores_it(perfbench):
+    tracing, _ = perfbench
+    originals = {s.target: _resolve(s.target)[2] for s in tracing.LAYER_SPANS}
+    with tracing.Tracer() as tracer:
+        patched = tracer.patched()
+        for span in tracing.LAYER_SPANS:
+            owner, attr, now = _resolve(span.target)
+            assert now is not originals[span.target], span.target
+            assert f"{owner.__name__}.{attr}" in patched, span.target
+        x = Tensor(np.ones(3), requires_grad=True)
+        (x * x).sum().backward()
+        assert tracer.calls["autodiff.backward"] == 1
+    assert tracer.patched() == []
+    for span in tracing.LAYER_SPANS:
+        assert _resolve(span.target)[2] is originals[span.target], span.target
+
+
+def test_desk_config_validates(perfbench):
+    _, workloads = perfbench
+    workloads.desk_config(10).validate()

@@ -333,7 +333,7 @@ class TestBatchNorm:
 
     def test_training_updates_running_stats(self):
         """One training pass folds batch stats into the running estimates."""
-        state = BatchNormState(1, momentum=0.1)
+        state = BatchNormState(1)
         batch_norm(Tensor(np.array([[1.0], [3.0]])), Tensor([1.0]), Tensor([0.0]), state, training=True)
         np.testing.assert_allclose(state.running_mean, [0.2], atol=1e-12)
         np.testing.assert_allclose(state.running_var, [1.0], atol=1e-12)
@@ -422,7 +422,7 @@ class TestBatchNorm:
         m = ad.tmean(x, axis=axes, keepdims=True)
         centered = ad.sub(x, m)
         v = ad.tmean(ad.mul(centered, centered), axis=axes, keepdims=True)
-        mom = state.momentum
+        mom = ad.BN_MOMENTUM
         state.running_mean = (1.0 - mom) * state.running_mean + mom * m.data.reshape(c)
         state.running_var = (1.0 - mom) * state.running_var + mom * v.data.reshape(c)
         inv = ad.div(1.0, ad.sqrt(ad.add(v, ad.NORM_EPS)))
@@ -460,7 +460,7 @@ class TestNoGrad:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with ad.no_grad():
             out = relu(x * 2.0).sum()
-        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not out.requires_grad and out._rules == ()
         assert (x * 2.0).requires_grad
 
     def test_values_match_grad_mode(self):
@@ -506,7 +506,7 @@ class TestNoGrad:
         try:
             assert holding.wait(timeout=30)
             out = relu(conv2d(x.reshape(1, 2, 1, 3), k)).sum()
-            assert out.requires_grad and out._backward is not None
+            assert out.requires_grad and out._rules != ()
             out.backward()
             assert k.grad is not None
         finally:
@@ -610,6 +610,43 @@ class TestBackward:
             return (t.transpose((2, 0, 1)).reshape((4, 6)) * Tensor(v)).sum()
 
         assert finite_diff_check(run, x0) < 1e-6
+
+
+def _bn(training):
+    return lambda x, g, b: batch_norm(x, g, b, BatchNormState(x.shape[-1]), training=training)
+
+
+class TestTapePolicy:
+    """The tape alone skips plain inputs and sums each gradient to its input's shape."""
+
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.add, [(4, 3), (3,)]),
+        (ad.sub, [(1, 3), (4, 3)]),
+        (ad.mul, [(4, 1), (1, 3)]),
+        (ad.div, [(4, 3), (4, 1)]),
+        (matmul, [(2, 4, 3), (3, 5)]),
+        (lambda x, k, b: conv2d(x, k, bias=b, zero_pad=1), [(2, 4, 3, 3), (3, 3, 3, 2), (2,)]),
+        (_bn(True), [(2, 3, 2, 4), (4,), (4,)]),
+        (_bn(False), [(5, 4), (4,), (4,)]),
+    ], ids=["add", "sub", "mul", "div", "matmul", "conv2d_bias", "batch_norm_train", "batch_norm_eval"])
+    def test_only_grad_inputs_receive_a_gradient_of_their_own_shape(self, op, shapes):
+        rng = np.random.default_rng(23)
+        values = [rng.uniform(0.5, 2.0, s) for s in shapes]  # positive: div has no zero denominator
+        w = rng.standard_normal(op(*map(Tensor, values)).shape)
+
+        def grads(needs):
+            inputs = [Tensor(v.copy(), requires_grad=r) for v, r in zip(values, needs)]
+            (op(*inputs) * Tensor(w)).sum().backward()
+            return [t.grad for t in inputs]
+
+        full = grads([True] * len(shapes))
+        for i in range(len(shapes)):
+            needs = [j == i for j in range(len(shapes))]
+            got = grads(needs)
+            assert got[i].shape == shapes[i] and got[i].tobytes() == full[i].tobytes()
+            assert all(g is None for j, g in enumerate(got) if j != i)
+        plain = [Tensor(v) for v in values]
+        assert op(*plain)._rules == () and not op(*plain).requires_grad
 
 
 class TestFiniteDiffCheck:
