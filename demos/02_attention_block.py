@@ -20,9 +20,9 @@ x = Tensor(rng.normal(size=(2, 8, 4, 8)))  # NHWC: two 8x4 maps, 8 channels
 outputs = {}
 for mode in MODES:
     params = init_mla_block(
-        np.random.default_rng(0),  # same seed: shared stages match across modes
+        np.random.default_rng(0),  # same seed in every mode
         c_in=8, c_mid=4, c_out=8,
-        mode=mode, heads=2, c_k=3, h_max=8, w_max=4,
+        mode=mode, heads=2, c_k=3, h=8, w=4,
         name="demo",
     )
     out = mla_block_forward(x, params, training=False)
@@ -35,6 +35,8 @@ for mode in MODES:
     delta = np.linalg.norm(outputs[mode] - base) / np.linalg.norm(base)
     print(f"{mode:9s} relative change vs baseline: {delta:.4f}")
 
-# The attention stages are inserted between the bottleneck's mid convolution
-# and its expansion, so the baseline path is bit-identical across modes and
-# all differences above come from the attention stages alone.
+# The attention stages replace the bottleneck's 3x3 mid convolution, which
+# only baseline mode keeps. Each mode draws its middle stage before the
+# reduce and expand convolutions, so with one seed those weights differ
+# between modes as well (pla's gate takes as many draws as the mid conv, so
+# pla alone shares them with baseline): the changes above mix both effects.

@@ -18,7 +18,6 @@ from .autodiff import (
     Tensor,
     add,
     conv2d,
-    getitem,
     l1_normalize,
     matmul,
     mul,
@@ -29,7 +28,7 @@ from .autodiff import (
     transpose,
 )
 from .errors import ConfigError, DimensionError
-from .layers import BnParams, init_bn, kaiming_conv
+from .layers import BnParams, init_bn, init_shortcut, kaiming, shortcut
 
 MODES = ("baseline", "pla", "hla", "pla+hla", "dla", "all")
 
@@ -56,8 +55,8 @@ class HlaParams:
     w_q: Parameter  # [1,1,c,c]
     w_k: Parameter  # [1,1,c,c]
     w_v: Parameter  # [1,1,c,c]
-    r_h: Parameter  # [heads, H_max, d_head]
-    r_w: Parameter  # [heads, W_max, d_head]
+    r_h: Parameter  # [heads, h, d_head], one row per map row
+    r_w: Parameter  # [heads, w, d_head], one row per map column
     heads: int
 
 
@@ -91,23 +90,22 @@ class MlaBlockParams:
 
 def init_pla(rng: np.random.Generator, c: int, name: str) -> PlaParams:
     return PlaParams(
-        kernel=Parameter(f"{name}.kernel", _PLA_INIT_GAIN * kaiming_conv(rng, (3, 3, c, c))),
+        kernel=Parameter(f"{name}.kernel", _PLA_INIT_GAIN * kaiming(rng, (3, 3, c, c))),
         bias=Parameter(f"{name}.bias", np.zeros(c)),
     )
 
 
-def init_hla(
-    rng: np.random.Generator, c: int, heads: int, h_max: int, w_max: int, name: str
-) -> HlaParams:
+def init_hla(rng: np.random.Generator, c: int, heads: int, h: int, w: int, name: str) -> HlaParams:
+    """Projections and position rows for an ``h`` x ``w`` map of ``c`` channels."""
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"hla: channels {c} must divide evenly into heads {heads}")
     d_head = c // heads
     return HlaParams(
-        w_q=Parameter(f"{name}.w_q", kaiming_conv(rng, (1, 1, c, c))),
-        w_k=Parameter(f"{name}.w_k", kaiming_conv(rng, (1, 1, c, c))),
-        w_v=Parameter(f"{name}.w_v", kaiming_conv(rng, (1, 1, c, c))),
-        r_h=Parameter(f"{name}.r_h", rng.standard_normal((heads, h_max, d_head))),
-        r_w=Parameter(f"{name}.r_w", rng.standard_normal((heads, w_max, d_head))),
+        w_q=Parameter(f"{name}.w_q", kaiming(rng, (1, 1, c, c))),
+        w_k=Parameter(f"{name}.w_k", kaiming(rng, (1, 1, c, c))),
+        w_v=Parameter(f"{name}.w_v", kaiming(rng, (1, 1, c, c))),
+        r_h=Parameter(f"{name}.r_h", rng.standard_normal((heads, h, d_head))),
+        r_w=Parameter(f"{name}.r_w", rng.standard_normal((heads, w, d_head))),
         heads=heads,
     )
 
@@ -115,11 +113,11 @@ def init_hla(
 def init_dla(rng: np.random.Generator, c: int, c_k: int, name: str) -> DlaParams:
     if c_k < 1:
         raise ConfigError(f"dla: c_k must be positive, got {c_k}")
-    k_d = _DLA_INIT_GAIN * kaiming_conv(rng, (1, 1, c, c_k))
+    k_d = _DLA_INIT_GAIN * kaiming(rng, (1, 1, c, c_k))
     # value memory starts as the exact transpose of the key memory
     v_d = k_d[0, 0].T.copy().reshape(1, 1, c_k, c)
     return DlaParams(
-        w_q=Parameter(f"{name}.w_q", kaiming_conv(rng, (1, 1, c, c))),
+        w_q=Parameter(f"{name}.w_q", kaiming(rng, (1, 1, c, c))),
         k_d=Parameter(f"{name}.k_d", k_d),
         v_d=Parameter(f"{name}.v_d", v_d),
         c_k=c_k,
@@ -134,8 +132,8 @@ def init_mla_block(
     mode: str,
     heads: int,
     c_k: int,
-    h_max: int,
-    w_max: int,
+    h: int,
+    w: int,
     name: str,
     stride: int = 1,
 ) -> MlaBlockParams:
@@ -144,21 +142,18 @@ def init_mla_block(
         raise ConfigError(f"unknown attention mode {mode!r}, expected one of {MODES}")
     pla = hla = dla = conv_mid = None
     if mode == "baseline":
-        conv_mid = Parameter(f"{name}.conv_mid", kaiming_conv(rng, (3, 3, c_mid, c_mid)))
+        conv_mid = Parameter(f"{name}.conv_mid", kaiming(rng, (3, 3, c_mid, c_mid)))
     else:
         if mode in ("pla", "pla+hla", "all"):
             pla = init_pla(rng, c_mid, f"{name}.pla")
         if mode in ("hla", "pla+hla", "all"):
-            hla = init_hla(rng, c_mid, heads, h_max, w_max, f"{name}.hla")
+            hla = init_hla(rng, c_mid, heads, h, w, f"{name}.hla")
         if mode in ("dla", "all"):
             dla = init_dla(rng, c_mid, c_k, f"{name}.dla")
-    shortcut = bn_sc = None
-    if stride != 1 or c_in != c_out:
-        shortcut = Parameter(f"{name}.shortcut", kaiming_conv(rng, (1, 1, c_in, c_out)))
-        bn_sc = init_bn(c_out, f"{name}.bn_sc")
+    sc, bn_sc = init_shortcut(rng, c_in, c_out, stride, name)
     return MlaBlockParams(
-        reduce=Parameter(f"{name}.reduce", kaiming_conv(rng, (1, 1, c_in, c_mid))),
-        expand=Parameter(f"{name}.expand", kaiming_conv(rng, (1, 1, c_mid, c_out))),
+        reduce=Parameter(f"{name}.reduce", kaiming(rng, (1, 1, c_in, c_mid))),
+        expand=Parameter(f"{name}.expand", kaiming(rng, (1, 1, c_mid, c_out))),
         bn1=init_bn(c_mid, f"{name}.bn1"),
         bn2=init_bn(c_mid, f"{name}.bn2"),
         bn3=init_bn(c_out, f"{name}.bn3"),
@@ -166,7 +161,7 @@ def init_mla_block(
         pla=pla,
         hla=hla,
         dla=dla,
-        shortcut=shortcut,
+        shortcut=sc,
         bn_sc=bn_sc,
         stride=stride,
     )
@@ -189,10 +184,9 @@ def hla_forward(x: Tensor, p: HlaParams) -> Tensor:
     if c % heads != 0:
         raise DimensionError(f"hla: channel axis 3 extent {c} not divisible by {heads} heads")
     d_head = c // heads
-    h_max, w_max = p.r_h.shape[1], p.r_w.shape[1]
-    if h > h_max or w > w_max:
-        raise ConfigError(
-            f"hla: feature map {h}x{w} exceeds position-encoding maxima {h_max}x{w_max}"
+    if (h, w) != (p.r_h.shape[1], p.r_w.shape[1]):
+        raise DimensionError(
+            f"hla: feature map {h}x{w} does not match the {p.r_h.shape[1]}x{p.r_w.shape[1]} position rows"
         )
     hw = h * w
 
@@ -203,9 +197,7 @@ def hla_forward(x: Tensor, p: HlaParams) -> Tensor:
     k = split_heads(conv2d(x, p.w_k))
     v = split_heads(conv2d(x, p.w_v))
 
-    rows = getitem(p.r_h, (slice(None), slice(0, h), slice(None)))  # [heads,h,d]
-    cols = getitem(p.r_w, (slice(None), slice(0, w), slice(None)))  # [heads,w,d]
-    pos = add(reshape(rows, (heads, h, 1, d_head)), reshape(cols, (heads, 1, w, d_head)))
+    pos = add(reshape(p.r_h, (heads, h, 1, d_head)), reshape(p.r_w, (heads, 1, w, d_head)))
     pos = reshape(pos, (heads, hw, d_head))
 
     content = matmul(q, transpose(k, (0, 1, 3, 2)))  # [n,heads,hw,hw]
@@ -242,8 +234,4 @@ def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
         m = dla_forward(m, p.dla)
     m = relu(p.bn2.apply(m, training))
     z = p.bn3.apply(conv2d(m, p.expand), training)
-    if p.shortcut is None:
-        s = x
-    else:
-        s = p.bn_sc.apply(conv2d(x, p.shortcut, stride=p.stride), training)
-    return relu(add(z, s))
+    return relu(add(z, shortcut(x, p.shortcut, p.bn_sc, p.stride, training)))

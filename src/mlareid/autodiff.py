@@ -68,8 +68,9 @@ class Tensor:
         Each node's rules run in the order its op lists its inputs, and only
         for inputs that require a gradient; each result is summed to its
         input's shape and added into that input's ``grad``. The graph is
-        released afterwards (no reuse); gradients of leaves accumulate
-        across calls unless zeroed.
+        released as it goes (no reuse): an interior node drops its rules and
+        its ``grad`` once they ran, so only leaves hold gradients afterwards,
+        and those accumulate across calls unless zeroed.
         """
         if self.data.size != 1:
             raise ContractError(f"backward expects a scalar loss, got shape {self.shape}")
@@ -92,7 +93,8 @@ class Tensor:
             for parent, rule in node._rules:
                 if parent.requires_grad:
                     _accumulate(parent, _unbroadcast(rule(node.grad), parent.shape))
-            node._rules = ()
+            if node._rules:  # an interior node's gradient is spent once its rules ran
+                node._rules, node.grad = (), None
 
     # Operator sugar; the module-level functions are the canonical API.
     def __add__(self, other):
@@ -414,7 +416,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalizations and pooling
+# normalizations
 # ---------------------------------------------------------------------------
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -456,37 +458,19 @@ def l1_normalize(x, axis=-1) -> Tensor:
     return _make(x.data / d, (x, rule))
 
 
-def global_avg_pool(x) -> Tensor:
-    """NHWC feature map -> per-channel spatial mean, shape [n, c]."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"global_avg_pool: input must be NHWC rank 4, got shape {x.shape}")
-    n, h, w, c = x.shape
-    return _make(x.data.mean(axis=(1, 2)),
-                 (x, lambda g: np.broadcast_to(g[:, None, None, :] / (h * w), x.shape)))
-
-
 BN_MOMENTUM = 0.1  # weight of each training batch's statistics in the running ones
 
 
-class BatchNormState:
-    """Running statistics for one batch-norm site (not tape-tracked)."""
-
-    def __init__(self, channels: int):
-        self.running_mean = np.zeros(channels, dtype=np.float64)
-        self.running_var = np.ones(channels, dtype=np.float64)
-
-
-def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
+def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch norm over all leading axes (channels last).
 
     Training mode normalizes by biased batch statistics and folds them into
-    the running stats with weight ``BN_MOMENTUM``; eval mode uses the frozen
-    running stats. Each mode is one tape node that repeats, in the same
-    order, the arithmetic of the elementwise ops it replaces (mean, sub,
-    mul, sqrt, div, add), so values and gradients are bit-equal to that
-    composed chain without its temporaries. The running update is state
-    mutation outside the tape.
+    ``running_mean`` and ``running_var`` in place, with weight
+    ``BN_MOMENTUM``; eval mode reads those arrays. Each mode is one tape
+    node that repeats, in the same order, the arithmetic of the elementwise
+    ops it replaces (mean, sub, mul, sqrt, div, add), so values and
+    gradients are bit-equal to that composed chain without its temporaries.
+    The running update is state mutation outside the tape.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -497,8 +481,8 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     bshape = (1,) * (x.ndim - 1) + (c,)
     gam = gamma.data.reshape(bshape)
     if not training:
-        rm = state.running_mean.reshape(bshape)
-        scale = 1.0 / np.sqrt(state.running_var.reshape(bshape) + NORM_EPS)
+        rm = running_mean.reshape(bshape)
+        scale = 1.0 / np.sqrt(running_var.reshape(bshape) + NORM_EPS)
         data = x.data - rm
         data *= scale
         data *= gam
@@ -510,8 +494,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     m = x.data.mean(axis=axes, keepdims=True)
     centered = x.data - m
     v = (centered * centered).mean(axis=axes, keepdims=True)
-    state.running_mean = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * m.reshape(c)
-    state.running_var = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * v.reshape(c)
+    for stat, batch in ((running_mean, m), (running_var, v)):
+        stat *= 1.0 - BN_MOMENTUM
+        stat += BN_MOMENTUM * batch.reshape(c)
     s = np.sqrt(v + NORM_EPS)
     inv = 1.0 / s
     data = centered * inv

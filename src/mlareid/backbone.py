@@ -18,13 +18,13 @@ from .autodiff import (
     Tensor,
     add,
     conv2d,
-    global_avg_pool,
     l2_normalize,
     matmul,
     relu,
+    tmean,
 )
 from .errors import ConfigError, DataFormatError, DimensionError
-from .layers import BnParams, init_bn, kaiming_conv, kaiming_linear, parameters, state_entries
+from .layers import BnParams, init_bn, init_shortcut, kaiming, parameters, shortcut, state_entries
 
 
 @dataclass
@@ -107,16 +107,13 @@ class BackboneParams:
 def _init_basic_block(
     rng: np.random.Generator, c_in: int, c_out: int, stride: int, name: str
 ) -> BasicBlockParams:
-    shortcut = bn_sc = None
-    if stride != 1 or c_in != c_out:
-        shortcut = Parameter(f"{name}.shortcut", kaiming_conv(rng, (1, 1, c_in, c_out)))
-        bn_sc = init_bn(c_out, f"{name}.bn_sc")
+    sc, bn_sc = init_shortcut(rng, c_in, c_out, stride, name)
     return BasicBlockParams(
-        conv1=Parameter(f"{name}.conv1", kaiming_conv(rng, (3, 3, c_in, c_out))),
+        conv1=Parameter(f"{name}.conv1", kaiming(rng, (3, 3, c_in, c_out))),
         bn1=init_bn(c_out, f"{name}.bn1"),
-        conv2=Parameter(f"{name}.conv2", kaiming_conv(rng, (3, 3, c_out, c_out))),
+        conv2=Parameter(f"{name}.conv2", kaiming(rng, (3, 3, c_out, c_out))),
         bn2=init_bn(c_out, f"{name}.bn2"),
-        shortcut=shortcut,
+        shortcut=sc,
         bn_sc=bn_sc,
         stride=stride,
     )
@@ -135,7 +132,7 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 
     params = BackboneParams(
         cfg=cfg,
-        stem=Parameter("backbone.stem", kaiming_conv(trunk_rng, (3, 3, 3, cfg.stage_channels[0]))),
+        stem=Parameter("backbone.stem", kaiming(trunk_rng, (3, 3, 3, cfg.stage_channels[0]))),
         stem_bn=init_bn(cfg.stage_channels[0], "backbone.stem_bn"),
     )
     c_prev = cfg.stage_channels[0]
@@ -166,7 +163,7 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 
     embed_rng = np.random.default_rng(embed_ss)
     params.embed_w = Parameter(
-        "backbone.embed.weight", kaiming_linear(embed_rng, (cfg.stage_channels[-1], cfg.embed_dim))
+        "backbone.embed.weight", kaiming(embed_rng, (cfg.stage_channels[-1], cfg.embed_dim))
     )
     params.embed_b = Parameter("backbone.embed.bias", np.zeros(cfg.embed_dim))
     return params
@@ -175,11 +172,7 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 def _basic_forward(x: Tensor, p: BasicBlockParams, training: bool) -> Tensor:
     y = relu(p.bn1.apply(conv2d(x, p.conv1, stride=p.stride, zero_pad=1), training))
     y = p.bn2.apply(conv2d(y, p.conv2, zero_pad=1), training)
-    if p.shortcut is None:
-        s = x
-    else:
-        s = p.bn_sc.apply(conv2d(x, p.shortcut, stride=p.stride), training)
-    return relu(add(y, s))
+    return relu(add(y, shortcut(x, p.shortcut, p.bn_sc, p.stride, training)))
 
 
 def forward_to_featuremap(images: Tensor, params: BackboneParams, training: bool) -> Tensor:
@@ -197,7 +190,7 @@ def forward_to_featuremap(images: Tensor, params: BackboneParams, training: bool
 
 def embed_from_featuremap(fmap: Tensor, params: BackboneParams) -> Tensor:
     """Pool, project and L2-normalize a feature map into embedding rows."""
-    pooled = global_avg_pool(fmap)
+    pooled = tmean(fmap, axis=(1, 2))
     projected = add(matmul(pooled, params.embed_w), params.embed_b)
     return l2_normalize(projected, axis=-1)
 

@@ -97,8 +97,8 @@ def bilinear_upsample(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
-def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
-    """Write [h,w,3] floats in [0,1] as binary 8-bit PPM."""
+def write_ppm(path: str | Path, pixels: np.ndarray) -> np.ndarray:
+    """Write [h,w,3] floats in [0,1] as binary 8-bit PPM; returns the pixels ``read_ppm`` reads back."""
     h, w, c = pixels.shape
     if c != 3:
         raise DataFormatError(f"PPM needs 3 channels, got {c}")
@@ -106,6 +106,7 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
+    return data / 255.0
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
@@ -140,7 +141,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
     raw = blob[pos:pos + need]
     if len(raw) != need:
         raise DataFormatError(f"{path}: truncated pixel data ({len(raw)} of {need} bytes)")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3) / 255.0
 
 
 # Generator proportions. Backgrounds are low-frequency fields; the figure
@@ -212,12 +213,18 @@ def _draw_figure(canvas: np.ndarray, style: _FigureStyle, dy: int, dx: int) -> n
     return head | torso | legs
 
 
-def render_image(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
-    """Deterministically render one image of an identity under a camera."""
+def _image_draws(spec: SynthSpec, pid: int, camid: int, idx: int) -> tuple[np.random.Generator, int, int]:
+    """One image's random stream and, drawn first from it, the figure's jitter (dy, dx)."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _TAG_IMAGE, pid, camid, idx]))
-    canvas = _camera_background(spec, camid).copy()
     dy = int(rng.integers(-spec.jitter_px, spec.jitter_px + 1))
     dx = int(rng.integers(-spec.jitter_px, spec.jitter_px + 1))
+    return rng, dy, dx
+
+
+def render_image(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
+    """Deterministically render one image of an identity under a camera."""
+    rng, dy, dx = _image_draws(spec, pid, camid, idx)
+    canvas = _camera_background(spec, camid).copy()
     _draw_figure(canvas, _identity_style(spec, pid), dy, dx)
     if spec.noise_sigma > 0:
         canvas = canvas + rng.normal(0.0, spec.noise_sigma, size=canvas.shape)
@@ -226,12 +233,8 @@ def render_image(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
 
 def figure_mask(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
     """The foreground mask the renderer would paint for this image."""
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _TAG_IMAGE, pid, camid, idx]))
-    h, w = spec.image_hw
-    canvas = np.zeros((h, w, 3))
-    dy = int(rng.integers(-spec.jitter_px, spec.jitter_px + 1))
-    dx = int(rng.integers(-spec.jitter_px, spec.jitter_px + 1))
-    return _draw_figure(canvas, _identity_style(spec, pid), dy, dx)
+    _, dy, dx = _image_draws(spec, pid, camid, idx)
+    return _draw_figure(np.zeros((*spec.image_hw, 3)), _identity_style(spec, pid), dy, dx)
 
 
 def split_counts(images_per_id: int) -> tuple[int, int, int]:
@@ -242,7 +245,7 @@ def split_counts(images_per_id: int) -> tuple[int, int, int]:
 
 
 def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
-    """Write the dataset and manifest under out_dir; returns the records."""
+    """Write the dataset and manifest under out_dir; returns the records, pixels as read back."""
     spec.validate()
     out = Path(out_dir)
     try:
@@ -262,10 +265,9 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
                 split = "query"
             else:
                 split = "gallery"
-            pixels = render_image(spec, pid, camid, idx)
             rel = f"{split}/{pid:04d}_c{camid}_{idx:04d}.ppm"
             try:
-                write_ppm(out / rel, pixels)
+                pixels = write_ppm(out / rel, render_image(spec, pid, camid, idx))
             except OSError as exc:
                 raise DataFormatError(f"cannot write {out / rel}: {exc}") from exc
             records.append(ImageRecord(pixels=pixels, pid=pid, camid=camid, split=split, path=rel))

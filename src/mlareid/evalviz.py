@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, global_avg_pool, l2_normalize, no_grad
+from .autodiff import Tensor, l2_normalize, no_grad, tmean
 from .backbone import BackboneParams, forward_to_featuremap
 from .contrast import MemoryDictionary
 from .dataio import ImageRecord, bilinear_upsample, stack_pixels, write_ppm
@@ -143,7 +143,7 @@ def grad_cam_heatmap(
     with no_grad():
         fmap = forward_to_featuremap(Tensor(record.pixels[None, ...]), params, training=False)
     fmap = Tensor(fmap.data, requires_grad=True)  # the tape starts at the map
-    pooled = global_avg_pool(fmap)
+    pooled = tmean(fmap, axis=(1, 2))
     projected = pooled @ params.embed_w.detach() + params.embed_b.detach()
 
     if memory is not None:

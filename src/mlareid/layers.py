@@ -1,5 +1,5 @@
-"""Shared building blocks: weight initialization, batch-norm containers and
-the one walk over a parameter tree.
+"""Shared building blocks: weight initialization, batch norm, the projection
+shortcut of the residual blocks and the one walk over a parameter tree.
 
 A parameter tree is a dataclass whose fields hold ``Parameter``s,
 ``BnParams``, nested parameter dataclasses, lists of them, ``None`` or
@@ -9,45 +9,58 @@ optimizer order, so reordering fields changes both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .autodiff import BatchNormState, Parameter, Tensor, batch_norm
+from .autodiff import Parameter, Tensor, batch_norm, conv2d
 
 
-def kaiming_conv(rng: np.random.Generator, shape: tuple[int, int, int, int]) -> np.ndarray:
-    """Fan-in scaled normal init for an HWIO conv kernel."""
-    kh, kw, c_in, _ = shape
-    std = np.sqrt(2.0 / (kh * kw * c_in))
-    return rng.standard_normal(shape) * std
-
-
-def kaiming_linear(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """Fan-in scaled normal init for a [in, out] linear weight."""
-    std = np.sqrt(2.0 / shape[0])
-    return rng.standard_normal(shape) * std
+def kaiming(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Fan-in scaled normal init; the output axis is last (HWIO kernels, [in, out] weights)."""
+    return rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[:-1]))
 
 
 @dataclass
 class BnParams:
-    """Learnable affine plus running statistics for one batch-norm site."""
+    """Learnable affine plus running statistics for one batch-norm site.
+
+    Training-mode ``apply`` updates the running arrays in place, so the
+    checkpoint entries ``state_entries`` names are the arrays training moves.
+    """
 
     gamma: Parameter
     beta: Parameter
-    state: BatchNormState
+    running_mean: np.ndarray
+    running_var: np.ndarray
 
     def apply(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.state, training)
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training)
 
 
 def init_bn(channels: int, name: str) -> BnParams:
     return BnParams(
         gamma=Parameter(f"{name}.gamma", np.ones(channels)),
         beta=Parameter(f"{name}.beta", np.zeros(channels)),
-        state=BatchNormState(channels),
+        running_mean=np.zeros(channels, dtype=np.float64),
+        running_var=np.ones(channels, dtype=np.float64),
     )
+
+
+def init_shortcut(
+    rng: np.random.Generator, c_in: int, c_out: int, stride: int, name: str
+) -> tuple[Parameter | None, BnParams | None]:
+    """A residual block's 1x1 projection and its norm, or ``(None, None)`` when the shape is kept."""
+    if stride == 1 and c_in == c_out:
+        return None, None
+    return Parameter(f"{name}.shortcut", kaiming(rng, (1, 1, c_in, c_out))), init_bn(c_out, f"{name}.bn_sc")
+
+
+def shortcut(x: Tensor, kernel: Parameter | None, bn: BnParams | None, stride: int, training: bool) -> Tensor:
+    """The residual branch: ``x`` itself, or its normalized strided projection."""
+    return x if kernel is None else bn.apply(conv2d(x, kernel, stride=stride), training)
 
 
 def _walk(node) -> Iterator[Parameter | BnParams]:
@@ -73,6 +86,6 @@ def state_entries(tree) -> dict[str, np.ndarray]:
     for leaf in _walk(tree):
         if isinstance(leaf, BnParams):
             prefix = leaf.gamma.name.rsplit(".", 1)[0]
-            out[f"{prefix}.running_mean"] = leaf.state.running_mean
-            out[f"{prefix}.running_var"] = leaf.state.running_var
+            out[f"{prefix}.running_mean"] = leaf.running_mean
+            out[f"{prefix}.running_var"] = leaf.running_var
     return out

@@ -73,7 +73,7 @@ def _matmul(rng: np.random.Generator):
 def _batch_norm(rng: np.random.Generator):
     gamma = Parameter("g", 1.0 + 0.1 * rng.standard_normal(5))
     beta = Parameter("be", 0.1 * rng.standard_normal(5))
-    return lambda t: autodiff.batch_norm(t, gamma, beta, autodiff.BatchNormState(5), training=True)
+    return lambda t: autodiff.batch_norm(t, gamma, beta, np.zeros(5), np.ones(5), training=True)
 
 
 def _make_block(rng: np.random.Generator) -> MlaBlockParams:
@@ -85,8 +85,8 @@ def _make_block(rng: np.random.Generator) -> MlaBlockParams:
         mode="all",
         heads=2,
         c_k=2,
-        h_max=3,
-        w_max=3,
+        h=3,
+        w=3,
         name="blk",
         stride=1,
     )
@@ -125,7 +125,7 @@ _CHECKS = {
     "batch_norm": _op_check((3, 4, 2, 5), _batch_norm),
     "pla": _op_check((2, 4, 3, 3), lambda rng: partial(pla_forward, p=init_pla(rng, 3, "pla"))),
     "hla": _op_check((2, 4, 3, 4), lambda rng: partial(
-        hla_forward, p=init_hla(rng, 4, heads=2, h_max=4, w_max=3, name="hla"))),
+        hla_forward, p=init_hla(rng, 4, heads=2, h=4, w=3, name="hla"))),
     "dla": _op_check((2, 3, 3, 4), lambda rng: partial(dla_forward, p=init_dla(rng, 4, c_k=3, name="dla"))),
     "mla_block": _op_check((2, 3, 3, 4), lambda rng: partial(
         mla_block_forward, p=_make_block(rng), training=True)),

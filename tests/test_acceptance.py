@@ -106,7 +106,7 @@ class TestCriterion2ExactIdentities:
         worst = max(worst, float(np.abs(pla_forward(x, pla).data - 0.5 * x.data).max()))
 
         # head attention over a single pixel reduces to the value projection
-        hla = init_hla(np.random.default_rng(3), c=8, heads=2, h_max=1, w_max=1, name="c")
+        hla = init_hla(np.random.default_rng(3), c=8, heads=2, h=1, w=1, name="c")
         one = Tensor(rng.normal(size=(3, 1, 1, 8)))
         want = one.data.reshape(3, 8) @ hla.w_v.data.reshape(8, 8)
         got = hla_forward(one, hla).data.reshape(3, 8)

@@ -127,7 +127,7 @@ class TestHla:
     def test_single_position_applies_value_projection(self):
         """On a 1x1 map attention is a no-op, leaving just the value conv."""
         rng = np.random.default_rng(5)
-        p = init_hla(rng, 4, 2, 4, 4, "hla")
+        p = init_hla(rng, 4, 2, 1, 1, "hla")
         x = rng.standard_normal((2, 1, 1, 4))
         out = hla_forward(Tensor(x), p).data
         np.testing.assert_allclose(out, conv1x1_apply(x, p.w_v.data), atol=1e-12)
@@ -135,7 +135,7 @@ class TestHla:
     def test_zero_queries_average_the_values(self):
         """Zero W_q and zero positions give uniform attention, the mean of v."""
         rng = np.random.default_rng(6)
-        p = init_hla(rng, 2, 1, 4, 4, "hla")
+        p = init_hla(rng, 2, 1, 2, 3, "hla")
         p.w_q.data[:] = 0.0
         p.r_h.data[:] = 0.0
         p.r_w.data[:] = 0.0
@@ -148,30 +148,32 @@ class TestHla:
     def test_matches_loop_reference_single_head(self):
         """A 1x2x1x2 single-head map matches the per-position loop oracle."""
         rng = np.random.default_rng(7)
-        p = init_hla(rng, 2, 1, 4, 4, "hla")
+        p = init_hla(rng, 2, 1, 2, 1, "hla")
         x = rng.standard_normal((1, 2, 1, 2))
         np.testing.assert_allclose(hla_forward(Tensor(x), p).data, hla_loop_reference(x, p), atol=1e-12)
 
     def test_matches_loop_reference_multi_head(self):
         """A two-head 2x2 map matches the oracle head by head."""
         rng = np.random.default_rng(8)
-        p = init_hla(rng, 4, 2, 4, 4, "hla")
+        p = init_hla(rng, 4, 2, 2, 2, "hla")
         x = rng.standard_normal((2, 2, 2, 4))
         np.testing.assert_allclose(hla_forward(Tensor(x), p).data, hla_loop_reference(x, p), atol=1e-12)
 
     def test_attention_rows_are_distributions(self):
         """Constant value rows pass through unchanged only if rows sum to 1."""
         rng = np.random.default_rng(9)
-        p = init_hla(rng, 2, 1, 4, 4, "hla")
+        p = init_hla(rng, 2, 1, 2, 2, "hla")
         x = np.broadcast_to(rng.standard_normal(2), (1, 2, 2, 2)).copy()
         out = hla_forward(Tensor(x), p).data
         v = conv1x1_apply(x, p.w_v.data)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
-    def test_oversized_map_raises_config_error(self):
+    def test_map_other_than_position_rows_raises(self):
+        """The position rows are the map's size: a larger or a smaller map is refused."""
         p = init_hla(np.random.default_rng(10), 2, 1, 4, 4, "hla")
-        with pytest.raises(ConfigError, match="exceeds"):
-            hla_forward(Tensor(np.zeros((1, 5, 4, 2))), p)
+        for hw in ((5, 4), (4, 5), (3, 4), (4, 3)):
+            with pytest.raises(DimensionError, match="does not match the 4x4 position rows"):
+                hla_forward(Tensor(np.zeros((1, *hw, 2))), p)
 
     def test_indivisible_heads_rejected_at_init(self):
         with pytest.raises(ConfigError):
@@ -181,14 +183,14 @@ class TestHla:
     def test_gradients(self, seed):
         """HLA input gradients pass finite differences across seeds."""
         rng = np.random.default_rng(seed + 20)
-        p = init_hla(rng, 2, 1, 4, 4, "hla")
+        p = init_hla(rng, 2, 1, 2, 2, "hla")
         x0 = rng.standard_normal((1, 2, 2, 2)) * 0.5
         assert finite_diff_check(lambda t: hla_forward(t, p).sum(), x0) < 1e-4
 
     def test_position_encoding_gradients(self):
         """The learnable position rows receive finite-difference-clean gradients."""
         rng = np.random.default_rng(30)
-        p = init_hla(rng, 2, 1, 4, 4, "hla")
+        p = init_hla(rng, 2, 1, 2, 2, "hla")
         x = Tensor(rng.standard_normal((1, 2, 2, 2)) * 0.5)
         assert finite_diff_check(lambda _: hla_forward(x, p).sum(), p.r_h) < 1e-4
 
@@ -237,9 +239,9 @@ class TestDla:
 
 
 class TestMlaBlock:
-    def build(self, mode, c_in=4, c_mid=2, c_out=4, stride=1, seed=50):
+    def build(self, mode, c_in=4, c_mid=2, c_out=4, stride=1, seed=50, hw=(4, 4)):
         rng = np.random.default_rng(seed)
-        return init_mla_block(rng, c_in, c_mid, c_out, mode, 1, 2, 8, 8, "mla", stride=stride)
+        return init_mla_block(rng, c_in, c_mid, c_out, mode, 1, 2, *hw, "mla", stride=stride)
 
     def test_baseline_equals_plain_bottleneck(self):
         """Baseline mode is exactly reduce/conv3x3/expand with norms and shortcut."""
@@ -267,7 +269,7 @@ class TestMlaBlock:
 
     def test_all_mode_equals_manual_composition(self):
         """Mode=all equals hand-chaining pla, hla, dla between the same convs."""
-        p = self.build("all", c_in=8, c_mid=2, c_out=8)
+        p = self.build("all", c_in=8, c_mid=2, c_out=8, hw=(4, 2))
         rng = np.random.default_rng(53)
         x = rng.standard_normal((1, 4, 2, 8))
         got = mla_block_forward(Tensor(x), p, training=False).data
@@ -304,7 +306,7 @@ class TestMlaBlock:
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_through_all_mode(self, seed):
         """The full block passes finite differences on the input across seeds."""
-        p = self.build("all", c_in=2, c_mid=2, c_out=2, seed=seed + 60)
+        p = self.build("all", c_in=2, c_mid=2, c_out=2, seed=seed + 60, hw=(2, 2))
         rng = np.random.default_rng(seed + 70)
         x0 = rng.standard_normal((1, 2, 2, 2)) * 0.5
         err = finite_diff_check(lambda t: mla_block_forward(t, p, training=False).sum(), x0)

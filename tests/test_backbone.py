@@ -119,10 +119,21 @@ class TestForward:
     def test_training_mode_updates_running_stats(self):
         """A training pass moves the stem batch-norm running stats."""
         params = build_backbone(tiny_config(), 8)
-        before = params.stem_bn.state.running_mean.copy()
+        before = params.stem_bn.running_mean.copy()
         x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 8, 3)))
         forward_to_featuremap(x, params, training=True)
-        assert not np.array_equal(before, params.stem_bn.state.running_mean)
+        assert not np.array_equal(before, params.stem_bn.running_mean)
+
+    def test_checkpoint_entries_are_the_arrays_training_moves(self):
+        """Running stats update in place: entries named before a training pass hold its update."""
+        params = build_backbone(tiny_config(), 8)
+        entries = named_entries(params)
+        before = entries["backbone.stem_bn.running_mean"].copy()
+        x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 8, 3)))
+        forward_to_featuremap(x, params, training=True)
+        assert entries["backbone.stem_bn.running_mean"] is params.stem_bn.running_mean
+        assert entries["backbone.stem_bn.running_var"] is params.stem_bn.running_var
+        assert not np.array_equal(before, entries["backbone.stem_bn.running_mean"])
 
 
 class TestFeatures:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlareid.backbone import BackboneConfig, build_backbone, forward_to_featuremap
-from mlareid.autodiff import Tensor, global_avg_pool, zero_grads
+from mlareid.autodiff import Tensor, tmean, zero_grads
 from mlareid.contrast import MemoryDictionary
 from mlareid.dataio import ImageRecord, read_ppm, stack_pixels
 from mlareid.errors import ContractError
@@ -248,8 +248,8 @@ class TestGradCam:
         from mlareid.autodiff import l2_normalize
 
         x = Tensor(record.pixels[None, ...])
-        fmap = forward_to_featuremap(x, params, training=False)
-        projected = global_avg_pool(fmap) @ params.embed_w + params.embed_b
+        fmap = Tensor(forward_to_featuremap(x, params, training=False).data, requires_grad=True)
+        projected = tmean(fmap, axis=(1, 2)) @ params.embed_w + params.embed_b
         feat = l2_normalize(projected, axis=-1)
         (feat * Tensor(mem.centroids[2][None, :] / mem.tau)).sum().backward()
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
@@ -260,8 +260,8 @@ class TestGradCam:
         params = tiny_backbone()
         record = tiny_record(3)
         x = Tensor(record.pixels[None, ...])
-        fmap = forward_to_featuremap(x, params, training=False)
-        projected = global_avg_pool(fmap) @ params.embed_w + params.embed_b
+        fmap = Tensor(forward_to_featuremap(x, params, training=False).data, requires_grad=True)
+        projected = tmean(fmap, axis=(1, 2)) @ params.embed_w + params.embed_b
         (projected * projected).sum().backward()
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
         zero_grads(parameters(params))

@@ -1,9 +1,12 @@
-"""The benchmark's hooks into the library: every traced span finds its target, and the desk config validates.
+"""The benchmark's hooks into the library: every traced span finds its target, the desk config
+validates, and the two quick workloads set up and pass their own checks.
 
 The benchmark under ``perfbench/`` patches library callables by name and
 builds its desk run from ``TrainConfig`` fields, so a renamed function, a
-method moved out of its class body or a removed config field breaks it.
-These tests catch that in the test suite instead of in a benchmark run.
+method moved out of its class body or a removed config field breaks it;
+its workloads check their outputs, so a library change that breaks them
+reports problems. These tests catch that in the test suite instead of in
+a benchmark run.
 """
 
 import importlib
@@ -57,3 +60,14 @@ def test_every_span_patches_its_target_and_exit_restores_it(perfbench):
 def test_desk_config_validates(perfbench):
     _, workloads = perfbench
     workloads.desk_config(10).validate()
+
+
+@pytest.mark.parametrize("name", ["pseudo-label", "gallery-embed"])
+def test_workload_sets_up_and_one_pass_reports_no_problem(perfbench, tmp_path, name):
+    """One set-up and one pass through perfbench's own ``setup``/``run`` at seed 0 (about 5 s for both)."""
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name]
+    ctx = workload.setup(0, tmp_path / "setup")
+    out = tmp_path / "pass"
+    out.mkdir()
+    assert workload.run(ctx, out).problems == []

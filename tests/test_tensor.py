@@ -8,14 +8,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mlareid import autodiff as ad
 from mlareid.autodiff import (
-    BatchNormState,
     Parameter,
     Tensor,
     batch_norm,
     conv2d,
     finite_diff_check,
     getitem,
-    global_avg_pool,
     l1_normalize,
     l2_normalize,
     matmul,
@@ -302,10 +300,15 @@ class TestElementwise:
         np.testing.assert_allclose(out, x / (np.abs(x).sum(axis=0, keepdims=True) + 1e-12), atol=1e-15)
 
     def test_global_avg_pool(self):
-        """Pooling reduces NHWC to per-channel spatial means."""
+        """Pooling is the spatial mean: per-channel means, and each gradient spread evenly over h*w."""
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 3, 4, 5))
-        np.testing.assert_allclose(global_avg_pool(Tensor(x)).data, x.mean(axis=(1, 2)), atol=1e-15)
+        for n in (1, 4, 16):
+            x = Tensor(rng.standard_normal((n, 8, 4, 64)), requires_grad=True)
+            g = rng.standard_normal((n, 64))
+            pooled = ad.tmean(x, axis=(1, 2))
+            (pooled * Tensor(g)).sum().backward()
+            assert pooled.data.tobytes() == x.data.mean(axis=(1, 2)).tobytes()
+            assert x.grad.tobytes() == (g[:, None, None, :] / 32 + np.zeros(x.shape)).tobytes()
 
     def test_broadcast_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -325,31 +328,27 @@ class TestElementwise:
 class TestBatchNorm:
     def test_training_hand_case(self):
         """Batch [[1],[3]] with unit gamma and zero beta normalizes to [-1, 1]."""
-        state = BatchNormState(1)
         out = batch_norm(
-            Tensor(np.array([[1.0], [3.0]])), Tensor([1.0]), Tensor([0.0]), state, training=True
+            Tensor(np.array([[1.0], [3.0]])), Tensor([1.0]), Tensor([0.0]), np.zeros(1), np.ones(1), training=True
         )
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-3)
 
     def test_training_updates_running_stats(self):
         """One training pass folds batch stats into the running estimates."""
-        state = BatchNormState(1)
-        batch_norm(Tensor(np.array([[1.0], [3.0]])), Tensor([1.0]), Tensor([0.0]), state, training=True)
-        np.testing.assert_allclose(state.running_mean, [0.2], atol=1e-12)
-        np.testing.assert_allclose(state.running_var, [1.0], atol=1e-12)
+        mean, var = np.zeros(1), np.ones(1)
+        batch_norm(Tensor(np.array([[1.0], [3.0]])), Tensor([1.0]), Tensor([0.0]), mean, var, training=True)
+        np.testing.assert_allclose(mean, [0.2], atol=1e-12)
+        np.testing.assert_allclose(var, [1.0], atol=1e-12)
 
     def test_eval_uses_running_stats(self):
         """Eval mode normalizes by the stored running statistics."""
-        state = BatchNormState(1)
-        state.running_mean[:] = 2.0
-        state.running_var[:] = 4.0
-        out = batch_norm(Tensor(np.array([[4.0]])), Tensor([3.0]), Tensor([1.0]), state, training=False)
+        mean, var = np.full(1, 2.0), np.full(1, 4.0)
+        out = batch_norm(Tensor(np.array([[4.0]])), Tensor([3.0]), Tensor([1.0]), mean, var, training=False)
         np.testing.assert_allclose(out.data, [[4.0]], atol=1e-6)
 
     def test_shape_mismatch_raises(self):
-        state = BatchNormState(2)
         with pytest.raises(DimensionError):
-            batch_norm(Tensor(np.zeros((2, 2))), Tensor([1.0]), Tensor([0.0]), state, training=True)
+            batch_norm(Tensor(np.zeros((2, 2))), Tensor([1.0]), Tensor([0.0]), np.zeros(2), np.ones(2), training=True)
 
     def test_training_gradients(self):
         """Batch-norm x, gamma and beta gradients of a weighted output pass finite differences.
@@ -364,7 +363,7 @@ class TestBatchNorm:
         w = Tensor(rng.standard_normal(x0.shape))
 
         def run(x, g, b):
-            return (batch_norm(x, g, b, BatchNormState(3), training=True) * w).sum()
+            return (batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True) * w).sum()
 
         assert finite_diff_check(lambda t: run(t, Tensor(g0), Tensor(b0)), x0) < 1e-4
         assert finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), g0) < 1e-6
@@ -377,12 +376,10 @@ class TestBatchNorm:
         g0 = rng.standard_normal(3)
         b0 = rng.standard_normal(3)
         w = Tensor(rng.standard_normal(x0.shape))
-        state = BatchNormState(3)
-        state.running_mean = rng.standard_normal(3)
-        state.running_var = rng.uniform(0.5, 2.0, 3)
+        mean, var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
 
         def run(x, g, b):
-            return (batch_norm(x, g, b, state, training=False) * w).sum()
+            return (batch_norm(x, g, b, mean, var, training=False) * w).sum()
 
         assert finite_diff_check(lambda t: run(t, Tensor(g0), Tensor(b0)), x0) < 1e-6
         assert finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), g0) < 1e-6
@@ -393,20 +390,18 @@ class TestBatchNorm:
         """Forward and all three gradients equal the sub/mul/mul/add chain bit for bit."""
         rng = np.random.default_rng(17)
         c = shape[-1]
-        state = BatchNormState(c)
-        state.running_mean = rng.standard_normal(c)
-        state.running_var = rng.uniform(0.5, 2.0, c)
+        mean, var = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
         w = Tensor(rng.standard_normal(shape))
         x0, g0, b0 = rng.standard_normal(shape), rng.standard_normal(c), rng.standard_normal(c)
         bshape = (1,) * (len(shape) - 1) + (c,)
 
         def composed(x, g, b):
-            scale = 1.0 / np.sqrt(state.running_var.reshape(bshape) + ad.NORM_EPS)
-            centered = ad.sub(x, state.running_mean.reshape(bshape))
+            scale = 1.0 / np.sqrt(var.reshape(bshape) + ad.NORM_EPS)
+            centered = ad.sub(x, mean.reshape(bshape))
             return ad.add(ad.mul(ad.mul(centered, Tensor(scale)), g.reshape(bshape)), b.reshape(bshape))
 
         results = []
-        for f in (composed, lambda x, g, b: batch_norm(x, g, b, state, training=False)):
+        for f in (composed, lambda x, g, b: batch_norm(x, g, b, mean, var, training=False)):
             x, g, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, g0, b0))
             out = f(x, g, b)
             (out * w).sum().backward()
@@ -414,8 +409,8 @@ class TestBatchNorm:
         assert results[0] == results[1]
 
     @staticmethod
-    def composed_train_chain(x, gamma, beta, state):
-        """Training-mode batch norm as the tape ops it was once built from."""
+    def composed_train_chain(x, gamma, beta, running_mean, running_var):
+        """Training-mode batch norm as the tape ops it was once built from; the running stats out of place."""
         c = x.shape[-1]
         bshape = (1,) * (x.ndim - 1) + (c,)
         axes = tuple(range(x.ndim - 1))
@@ -423,8 +418,8 @@ class TestBatchNorm:
         centered = ad.sub(x, m)
         v = ad.tmean(ad.mul(centered, centered), axis=axes, keepdims=True)
         mom = ad.BN_MOMENTUM
-        state.running_mean = (1.0 - mom) * state.running_mean + mom * m.data.reshape(c)
-        state.running_var = (1.0 - mom) * state.running_var + mom * v.data.reshape(c)
+        running_mean[...] = (1.0 - mom) * running_mean + mom * m.data.reshape(c)
+        running_var[...] = (1.0 - mom) * running_var + mom * v.data.reshape(c)
         inv = ad.div(1.0, ad.sqrt(ad.add(v, ad.NORM_EPS)))
         return ad.add(ad.mul(ad.mul(centered, inv), gamma.reshape(bshape)), beta.reshape(bshape))
 
@@ -439,17 +434,16 @@ class TestBatchNorm:
         mean0, var0 = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
 
         def run(f):
-            state = BatchNormState(c)
-            state.running_mean, state.running_var = mean0.copy(), var0.copy()
+            mean, var = mean0.copy(), var0.copy()
             x = Tensor(x0.copy(), requires_grad=True)
             g, b = (Tensor(v.copy(), requires_grad=affine_grad) for v in (g0, b0))
-            out = f(x, g, b, state)
+            out = f(x, g, b, mean, var)
             (out * w).sum().backward()
             grads = [t.grad.tobytes() for t in (x, g, b) if t.requires_grad]
-            return [a.tobytes() for a in (out.data, state.running_mean, state.running_var)] + grads
+            return [a.tobytes() for a in (out.data, mean, var)] + grads
 
         want = run(self.composed_train_chain)
-        got = run(lambda x, g, b, state: batch_norm(x, g, b, state, training=True))
+        got = run(lambda x, g, b, mean, var: batch_norm(x, g, b, mean, var, training=True))
         assert len(got) == (6 if affine_grad else 4)
         assert got == want
 
@@ -521,14 +515,13 @@ class TestNoGrad:
         x = rng.standard_normal((5, 3))
         gamma = Parameter("bn.gamma", np.ones(3))
         beta = Parameter("bn.beta", np.zeros(3))
-        taped, free = BatchNormState(3), BatchNormState(3)
-        batch_norm(Tensor(x), gamma, beta, taped, training=True)
+        taped, free = (np.zeros(3), np.ones(3)), (np.zeros(3), np.ones(3))
+        batch_norm(Tensor(x), gamma, beta, *taped, training=True)
         with ad.no_grad():
-            out = batch_norm(Tensor(x), gamma, beta, free, training=True)
+            out = batch_norm(Tensor(x), gamma, beta, *free, training=True)
         assert not out.requires_grad
-        assert not np.array_equal(free.running_mean, np.zeros(3))
-        assert free.running_mean.tobytes() == taped.running_mean.tobytes()
-        assert free.running_var.tobytes() == taped.running_var.tobytes()
+        assert not np.array_equal(free[0], np.zeros(3))
+        assert [a.tobytes() for a in free] == [a.tobytes() for a in taped]
 
 
 class TestBackward:
@@ -552,6 +545,25 @@ class TestBackward:
         (used * used).sum().backward()
         assert used.grad is not None
         assert unused.grad is None or not unused.grad.any()
+
+    def test_interior_gradients_released_leaf_gradients_kept(self):
+        """After backward only leaves hold gradients, with the bytes of the hand-written chain rule."""
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w1, w2 = Parameter("w1", rng.standard_normal((4, 5))), Parameter("w2", rng.standard_normal((5, 2)))
+        v = rng.standard_normal((3, 2))
+        a = matmul(x, w1)
+        h = relu(a)
+        y = matmul(h, w2)
+        z = y * Tensor(v)
+        loss = z.sum()
+        loss.backward()
+        assert all(t.grad is None and t._rules == () for t in (a, h, y, z, loss))
+        g_y = np.ones(()) * v
+        g_a = np.matmul(g_y, w2.data.T) * (a.data > 0.0)
+        for leaf, want in ((x, np.matmul(g_a, w1.data.T)), (w1, np.matmul(x.data.T, g_a)),
+                           (w2, np.matmul(h.data.T, g_y))):
+            assert leaf.grad.tobytes() == (np.zeros(leaf.shape) + want).tobytes()
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError, match="scalar"):
@@ -613,7 +625,7 @@ class TestBackward:
 
 
 def _bn(training):
-    return lambda x, g, b: batch_norm(x, g, b, BatchNormState(x.shape[-1]), training=training)
+    return lambda x, g, b: batch_norm(x, g, b, np.zeros(x.shape[-1]), np.ones(x.shape[-1]), training=training)
 
 
 class TestTapePolicy:
