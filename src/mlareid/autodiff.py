@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, DimensionError
 
 NORM_EPS = 1e-12  # inside l1/l2 norms and batch-norm variance
+FD_STEP = 1e-5  # finite_diff_check's central-difference step
 
 # Maps an op's output gradient to one input's gradient, before it is summed to that input's shape.
 Rule = Callable[[np.ndarray], np.ndarray]
@@ -56,7 +57,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
+        if self.data.size != 1:
+            raise ContractError(f"expected a scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def detach(self) -> "Tensor":
         """A view of the same data with no tape participation."""
@@ -128,14 +131,8 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -151,10 +148,6 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
-
-
-def _scalar_err(t: Tensor):
-    raise ContractError(f"expected a scalar tensor, got shape {t.shape}")
 
 
 def as_tensor(x) -> Tensor:
@@ -525,8 +518,8 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
 # verification
 # ---------------------------------------------------------------------------
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-5) -> float:
-    """Max relative disagreement between backward() and central differences.
+def finite_diff_check(f: Callable[[Tensor], Tensor], x) -> float:
+    """Max relative disagreement between backward() and central differences at FD_STEP.
 
     ``f`` must be a pure Tensor -> scalar map. A ``Parameter`` is probed in
     place, so ``f`` may also ignore its argument and read the parameter from
@@ -534,14 +527,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-5) -> f
     Per coordinate the error is |analytic - numeric| / max(1, |analytic|,
     |numeric|); the max over coordinates is returned.
     """
-    if step <= 0:
-        raise ContractError(f"finite_diff_check: step must be positive, got {step}")
     probe = x if isinstance(x, Parameter) else Tensor(as_tensor(x).data.copy(), requires_grad=True)
     probe.grad = None
-    out = f(probe)
-    if out.size != 1:
-        raise ContractError(f"finite_diff_check: f must return a scalar, got shape {out.shape}")
-    out.backward()
+    f(probe).backward()  # raises ContractError unless f returns a scalar
     analytic = np.zeros_like(probe.data) if probe.grad is None else probe.grad
     probe.grad = None
 
@@ -549,12 +537,12 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-5) -> f
     numeric = np.zeros(flat.size)
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + step
+        flat[i] = saved + FD_STEP
         fp = f(probe).item()
-        flat[i] = saved - step
+        flat[i] = saved - FD_STEP
         fm = f(probe).item()
         flat[i] = saved
-        numeric[i] = (fp - fm) / (2.0 * step)
+        numeric[i] = (fp - fm) / (2.0 * FD_STEP)
     numeric = numeric.reshape(analytic.shape)
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))

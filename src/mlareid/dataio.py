@@ -72,8 +72,8 @@ class SynthSpec:
             )
         if not 0.0 <= self.background_strength <= 1.0:
             raise ConfigError(f"background_strength must lie in [0,1], got {self.background_strength}")
-        if self.noise_sigma < 0 or self.jitter_px < 0:
-            raise ConfigError("noise_sigma and jitter_px must be non-negative")
+        if min(self.noise_sigma, self.jitter_px, self.seed) < 0:
+            raise ConfigError("noise_sigma, jitter_px and seed must be non-negative")
         if len(self.image_hw) != 2 or min(self.image_hw) < 16:
             raise ConfigError(f"image_hw must be (height, width), both at least 16, got {self.image_hw}")
 
@@ -312,4 +312,8 @@ def load_dataset(root: str | Path) -> list[ImageRecord]:
 
 def stack_pixels(records: list[ImageRecord]) -> np.ndarray:
     """Pixels only, [n,h,w,3]; the training path never sees pid or camid."""
+    for rec in records:
+        if rec.pixels.shape != records[0].pixels.shape:
+            raise DataFormatError(f"{rec.path} has shape {rec.pixels.shape}, "
+                                  f"but {records[0].path} has {records[0].pixels.shape}")
     return np.stack([rec.pixels for rec in records])

@@ -81,8 +81,8 @@ class TrainConfig:
             raise ConfigError(f"{', '.join(non_finite)} must be finite")
         if self.clustering_iterations < 0 or self.epochs_per_iteration < 1:
             raise ConfigError("iteration counts must be non-negative (epochs at least 1)")
-        if self.bn_warmup_passes < 0:
-            raise ConfigError("bn_warmup_passes must be non-negative")
+        if min(self.bn_warmup_passes, self.seed) < 0:
+            raise ConfigError("bn_warmup_passes and seed must be non-negative")
         if min(self.batch_p, self.batch_k) < 1 or self.batch_p * self.batch_k <= 1:
             raise ConfigError("batch P and K must be at least 1 and P*K must exceed 1")
         if min(self.lr0, self.lr_decay, self.eps, self.tau) <= 0:
@@ -205,13 +205,13 @@ def pk_sampler(labels: PseudoLabels, p: int, k_img: int, seed: int) -> list[np.n
     return batches
 
 
+@dataclass
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
 
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    t: int = 0
 
 
 def adam_step(params: list[Parameter], lr: float, state: AdamState) -> None:
@@ -294,17 +294,16 @@ def _augment_batch(pixels: np.ndarray, rng: np.random.Generator, pad: int = 2) -
     return out
 
 
-def _dump_diagnostics(
-    out_dir: Path, features: np.ndarray, labels: PseudoLabels | None, lr: float
-) -> Path:
-    """Write what a failed iteration saw; ``labels`` is None before clustering."""
+def _failure(out_dir: Path, what: str, features: np.ndarray, labels: PseudoLabels | None,
+             lr: float) -> ContractError:
+    """Dump what a failed iteration saw (``labels`` is None before clustering); the error names it."""
     dump = out_dir / "diagnostics"
     dump.mkdir(parents=True, exist_ok=True)
     np.savetxt(dump / "features.csv", features, delimiter=",")
     if labels is not None:
         np.savetxt(dump / "labels.csv", labels.labels, fmt="%d", delimiter=",")
     (dump / "lr.txt").write_text(f"{lr:.17g}\n")
-    return dump
+    return ContractError(f"{what}; diagnostics written to {dump}")
 
 
 def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
@@ -321,10 +320,7 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     features = extract_all_features(state.pixels, state.backbone)
     lr = lr_at(epoch, cfg)
     if not np.isfinite(features).all():
-        where = _dump_diagnostics(out_dir, features, None, lr)
-        raise ContractError(
-            f"non-finite features at iteration {iteration}; diagnostics written to {where}"
-        )
+        raise _failure(out_dir, f"non-finite features at iteration {iteration}", features, None, lr)
     labels = dbscan(pairwise_cosine_distance(features), cfg.eps, cfg.min_pts)
     stats = cluster_summary(labels)
     skipped = stats.k < cfg.batch_p
@@ -353,11 +349,8 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
                 feats = extract_features(Tensor(batch_pixels), state.backbone, training=True)
                 loss = cluster_nce_loss(feats, targets, memory)
                 if not np.isfinite(loss.item()):
-                    where = _dump_diagnostics(out_dir, features, labels, lr)
-                    raise ContractError(
-                        f"non-finite loss {loss.item()} at iteration {iteration}; "
-                        f"diagnostics written to {where}"
-                    )
+                    what = f"non-finite loss {loss.item()} at iteration {iteration}"
+                    raise _failure(out_dir, what, features, labels, lr)
                 losses.append(loss.item())
                 zero_grads(params)
                 loss.backward()
@@ -409,11 +402,9 @@ def _refuse_changes(what: str, stored, given, may_grow: str | None = None) -> No
 
 
 def save_run_checkpoint(path: str | Path, state: RunState) -> None:
-    entries = dict(named_entries(state.backbone))
-    for name, m in state.optim.m.items():
-        entries[f"optim.m.{name}"] = m
-    for name, v in state.optim.v.items():
-        entries[f"optim.v.{name}"] = v
+    entries = named_entries(state.backbone)
+    for prefix, moments in (("optim.m.", state.optim.m), ("optim.v.", state.optim.v)):
+        entries.update((prefix + name, value) for name, value in moments.items())
     entries["optim.t"] = np.array(float(state.optim.t))
     if state.memory is not None:
         entries["memory.centroids"] = state.memory.centroids
@@ -435,11 +426,8 @@ def load_backbone_from_checkpoint(
         _stored_config(entries, "meta.backbone", BackboneConfig(), path), train_cfg.seed
     )
     load_named_entries(backbone, entries)
-    memory = None
-    if "memory.centroids" in entries:
-        memory = MemoryDictionary(
-            centroids=entries["memory.centroids"].copy(), tau=train_cfg.tau, mu=train_cfg.mu
-        )
+    centroids = entries.get("memory.centroids")
+    memory = None if centroids is None else MemoryDictionary(centroids, tau=train_cfg.tau, mu=train_cfg.mu)
     return backbone, memory, entries
 
 
@@ -450,13 +438,9 @@ def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) 
     _refuse_changes("train config", stored, cfg, may_grow="clustering_iterations")
     stored_data = _stored_text(entries, "meta.data", path)
 
-    optim = AdamState()
-    optim.t = int(entries["optim.t"]) if "optim.t" in entries else 0
-    for name, value in entries.items():
-        if name.startswith("optim.m."):
-            optim.m[name[len("optim.m."):]] = value.copy()
-        elif name.startswith("optim.v."):
-            optim.v[name[len("optim.v."):]] = value.copy()
+    m, v = ({name[len(p):]: a for name, a in entries.items() if name.startswith(p)}
+            for p in ("optim.m.", "optim.v."))
+    optim = AdamState(m, v, int(entries.get("optim.t", 0)))
 
     state = RunState(cfg=cfg, backbone=backbone, optim=optim, pixels=pixels,
                      iteration=int(entries["pipeline.iteration"]), memory=memory)

@@ -141,12 +141,6 @@ def dbscan_oracle(d: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
                 parent[find(i)] = find(j)
 
     labels = np.full(n, -1, dtype=np.int64)
-    roots: dict[int, int] = {}
-    for i in range(n):
-        if core[i]:
-            r = find(i)
-            if r not in roots:
-                roots[r] = len(roots)
     # renumber clusters by their lowest-index member, matching canonical order
     order: dict[int, int] = {}
     for i in range(n):

@@ -1,6 +1,7 @@
 """CLI contract tests: dispatch, exit codes, config echo, determinism."""
 
 import argparse
+import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mlareid import backbone, evalviz
 from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.cli import build_parser, main
-from mlareid.dataio import read_ppm
+from mlareid.dataio import read_ppm, write_ppm
 from mlareid.pipeline import load_backbone_from_checkpoint
 
 
@@ -78,6 +79,8 @@ class TestSynth:
         assert "--ids: bad value 'x' for 'num_ids'" in capsys.readouterr().err
         assert main(["synth", "--out", str(tmp_path / "d"), "--image-hw", "16"]) == 1
         assert "image_hw must be (height, width)" in capsys.readouterr().err
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_synth_flags_are_the_spec_fields_plus_out(self):
@@ -154,6 +157,18 @@ class TestTrain:
         assert code == 1
         assert "batch P and K" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_mixed_image_sizes_exit_two_naming_the_file(self, workspace, tmp_path, capsys):
+        """One 32x16 image in a 16x16 train split is a data-format error, not numpy's."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        write_ppm(data / "train" / "9999_c0_0000.ppm", np.zeros((32, 16, 3)))
+        code = main([
+            "train", "--data", str(data), "--out", str(tmp_path / "run"), "--iterations", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "9999_c0_0000.ppm has shape (32, 16, 3)" in err and "(16, 16, 3)" in err
 
     def test_resume_on_other_images_exits_one_naming_both_digests(self, tmp_path, capsys):
         """Same-size images from another synth seed are refused, not trained on."""

@@ -5,7 +5,6 @@ import pytest
 
 from mlareid.dataio import (
     FILENAME_RE,
-    ImageRecord,
     SynthSpec,
     bilinear_upsample,
     figure_mask,
@@ -222,3 +221,14 @@ class TestLoadDataset:
         train = [r for r in records if r.split == "train"]
         stacked = stack_pixels(train)
         assert stacked.shape == (len(train), 32, 16, 3)
+
+    def test_stack_pixels_mixed_sizes_name_the_odd_record(self, tmp_path):
+        """A record whose size differs from the first's is a data-format error naming both."""
+        train = [r for r in synth_generate(small_spec(), tmp_path) if r.split == "train"]
+        odd = train[3]
+        odd.pixels = np.zeros((16, 16, 3))
+        with pytest.raises(DataFormatError) as info:
+            stack_pixels(train)
+        message = str(info.value)
+        assert odd.path in message and train[0].path in message
+        assert "(16, 16, 3)" in message and "(32, 16, 3)" in message

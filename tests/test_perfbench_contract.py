@@ -1,5 +1,5 @@
 """The benchmark's hooks into the library: every traced span finds its target, the desk config
-validates, and the two quick workloads set up and pass their own checks.
+validates and is the acceptance gate's, and the two quick workloads set up and pass their own checks.
 
 The benchmark under ``perfbench/`` patches library callables by name and
 builds its desk run from ``TrainConfig`` fields, so a renamed function, a
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import test_acceptance
 
 from mlareid.autodiff import Tensor
 
@@ -60,6 +61,13 @@ def test_every_span_patches_its_target_and_exit_restores_it(perfbench):
 def test_desk_config_validates(perfbench):
     _, workloads = perfbench
     workloads.desk_config(10).validate()
+
+
+def test_desk_protocol_is_the_acceptance_one(perfbench):
+    """The benchmark runs criterion 6's images and settings at mode "all", seed 0, not a copy that drifted."""
+    _, workloads = perfbench
+    assert workloads.DESK_SPEC == test_acceptance.DESK_SPEC
+    assert workloads.desk_config(10) == test_acceptance.desk_config("all", 0)
 
 
 @pytest.mark.parametrize("name", ["pseudo-label", "gallery-embed"])

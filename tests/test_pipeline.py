@@ -263,7 +263,7 @@ class TestConfig:
         for line in (
             "batch_p = 1\nbatch_k = 1", "batch_p = -2\nbatch_k = -2",
             "tau = 0", "mu = 1.5", "attention_mode = cnn",
-            "lr0 = nan", "eps = nan", "tau = inf", "lr_decay = nan",
+            "lr0 = nan", "eps = nan", "tau = inf", "lr_decay = nan", "seed = -1",
         ):
             with pytest.raises(ConfigError):
                 apply_config_lines(TrainConfig(), line.splitlines())

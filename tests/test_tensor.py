@@ -20,6 +20,7 @@ from mlareid.autodiff import (
     relu,
     sigmoid,
     softmax,
+    transpose,
     zero_grads,
 )
 from mlareid.errors import ContractError, DimensionError
@@ -571,6 +572,11 @@ class TestBackward:
         with pytest.raises(ContractError, match="scalar"):
             (Tensor(np.zeros((2, 2)), requires_grad=True) * 2.0).backward()
 
+    def test_item_of_non_scalar_names_the_shape(self):
+        assert Tensor(np.full((1, 1), 2.5)).item() == 2.5
+        with pytest.raises(ContractError, match=r"\(2, 3\)"):
+            Tensor(np.zeros((2, 3))).item()
+
     def test_grads_accumulate_until_zeroed(self):
         """Two backward passes double the gradient; zeroing resets it."""
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -619,7 +625,7 @@ class TestBackward:
         v = rng.standard_normal((4, 6))
 
         def run(t):
-            return (t.transpose((2, 0, 1)).reshape((4, 6)) * Tensor(v)).sum()
+            return (transpose(t, (2, 0, 1)).reshape((4, 6)) * Tensor(v)).sum()
 
         assert finite_diff_check(run, x0) < 1e-6
 
@@ -696,9 +702,9 @@ class TestFiniteDiffCheck:
         assert w.data.tobytes() == before
         assert w.grad is None
 
-    def test_bad_step_rejected(self):
-        with pytest.raises(ContractError):
-            finite_diff_check(lambda t: (t * t).sum(), np.array([1.0]), step=0.0)
+    def test_non_scalar_f_rejected(self):
+        with pytest.raises(ContractError, match=r"scalar.*\(3,\)"):
+            finite_diff_check(lambda t: t * t, np.ones(3))
 
 
 class TestDeterminism:
