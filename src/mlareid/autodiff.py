@@ -454,6 +454,12 @@ def l1_normalize(x, axis=-1) -> Tensor:
 BN_MOMENTUM = 0.1  # weight of each training batch's statistics in the running ones
 
 
+def fold_running(stat: np.ndarray, increment: np.ndarray) -> None:
+    """Fold one batch's ``BN_MOMENTUM``-weighted statistic into a running array, in place."""
+    stat *= 1.0 - BN_MOMENTUM
+    stat += increment
+
+
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch norm over all leading axes (channels last).
 
@@ -488,8 +494,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     centered = x.data - m
     v = (centered * centered).mean(axis=axes, keepdims=True)
     for stat, batch in ((running_mean, m), (running_var, v)):
-        stat *= 1.0 - BN_MOMENTUM
-        stat += BN_MOMENTUM * batch.reshape(c)
+        fold_running(stat, BN_MOMENTUM * batch.reshape(c))
     s = np.sqrt(v + NORM_EPS)
     inv = 1.0 / s
     data = centered * inv

@@ -586,6 +586,55 @@ class TestTapeFreeExtraction:
         assert extract_all_features(pixels, params).tobytes() == np.concatenate(taped).tobytes()
 
 
+def warmup_oracle(params, pixels, passes):
+    """The plain warmup loop: ``passes`` tape-free train-mode passes over fixed chunks."""
+    from mlareid.autodiff import no_grad
+    from mlareid.backbone import extract_features
+    from mlareid.pipeline import WARMUP_CHUNK
+
+    with no_grad():
+        for _ in range(passes):
+            for start in range(0, pixels.shape[0], WARMUP_CHUNK):
+                extract_features(Tensor(pixels[start:start + WARMUP_CHUNK]), params, training=True)
+
+
+class TestBnWarmup:
+    @pytest.mark.parametrize("images", ["random", "zeros", "constant"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_replay_is_byte_equal_to_the_plain_loop(self, mode, images):
+        """One forward per chunk plus replayed updates leaves the plain loop's running bytes.
+
+        n = 33 and 40 end in a short chunk; with two chunks and two or more
+        passes, folding the chunks in any other order changes the bytes. The
+        running arrays stay the checkpoint's objects, and neither parameters
+        nor gradients move.
+        """
+        from mlareid.backbone import build_backbone
+        from mlareid.layers import parameters, state_entries
+        from mlareid.pipeline import bn_warmup
+
+        rng = np.random.default_rng(MODES.index(mode))
+        for n in (8, 33, 40):
+            pixels = {
+                "random": rng.uniform(0.0, 1.0, size=(n, 16, 16, 3)),
+                "zeros": np.zeros((n, 16, 16, 3)),
+                "constant": np.full((n, 16, 16, 3), 0.37),
+            }[images]
+            for passes in (0, 1, 2, 5):
+                want = build_backbone(tiny_backbone(mode), 3)
+                warmup_oracle(want, pixels, passes)
+                got = build_backbone(tiny_backbone(mode), 3)
+                arrays = state_entries(got)
+                param_bytes = [p.data.tobytes() for p in parameters(got)]
+                bn_warmup(got, pixels, passes)
+                after = state_entries(got)
+                assert all(after[name] is arrays[name] for name in arrays)
+                for name, value in state_entries(want).items():
+                    assert after[name].tobytes() == value.tobytes(), (n, passes, name)
+                assert [p.data.tobytes() for p in parameters(got)] == param_bytes
+                assert all(p.grad is None for p in parameters(got))
+
+
 def pin_cores(monkeypatch, n):
     """Make ``n`` cores look usable to extract_all_features."""
     import os
