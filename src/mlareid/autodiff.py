@@ -70,10 +70,11 @@ class Tensor:
 
         Each node's rules run in the order its op lists its inputs, and only
         for inputs that require a gradient; each result is summed to its
-        input's shape and added into that input's ``grad``. The graph is
-        released as it goes (no reuse): an interior node drops its rules and
-        its ``grad`` once they ran, so only leaves hold gradients afterwards,
-        and those accumulate across calls unless zeroed.
+        input's shape and added into that input's ``grad``. Nodes are popped
+        off the topological order and an interior node drops its rules and
+        ``grad`` once they ran, so one that nothing else holds is freed with
+        its activation (no reuse). Only leaves keep gradients, accumulated
+        across calls unless zeroed; a node the caller holds keeps its ``data``.
         """
         if self.data.size != 1:
             raise ContractError(f"backward expects a scalar loss, got shape {self.shape}")
@@ -92,7 +93,8 @@ class Tensor:
             for parent, _ in node._rules:
                 stack.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             for parent, rule in node._rules:
                 if parent.requires_grad:
                     _accumulate(parent, _unbroadcast(rule(node.grad), parent.shape))
@@ -347,10 +349,11 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
 
     Output spatial extent is floor((dim + 2*pad - k)/stride) + 1. The
     forward pass and the kernel gradient are one GEMM each over the same
-    im2col matrix of sliding windows, rebuilt in backward instead of kept
-    on the tape; the input gradient scatters one matmul per kernel tap
-    into the padded input. Analytic gradients match the naive loop oracle
-    up to float reassociation.
+    im2col matrix, which zero-pads ``x.data`` itself (no copy unpadded) and
+    is rebuilt in backward, so the tape keeps neither it nor a padded input;
+    the input gradient scatters one matmul per kernel tap into a zero
+    buffer of the padded shape. Analytic gradients match the naive loop
+    oracle up to float reassociation.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4:
@@ -377,11 +380,13 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {b.shape} does not match output channels ({c_out},)")
 
-    padded = np.pad(x.data, ((0, 0), (zero_pad, zero_pad), (zero_pad, zero_pad), (0, 0)))
-    # windows: [n, h_out, w_out, c_in, kh, kw]
-    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-
     def im2col() -> np.ndarray:
+        padded = x.data
+        if zero_pad:
+            padded = np.zeros((n, hp, wp, c_in))
+            padded[:, zero_pad:zero_pad + h, zero_pad:zero_pad + w] = x.data
+        # windows: [n, h_out, w_out, c_in, kh, kw]
+        win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
         # [n*h_out*w_out, kh*kw*c_in], rows in output order, columns in kernel order
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c_in)
 
@@ -390,7 +395,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
         data = data + b.data
 
     def input_rule(g):
-        gpad = np.zeros_like(padded)
+        gpad = np.zeros((n, hp, wp, c_in))
         for a_off in range(kh):
             for b_off in range(kw):
                 sl_h = slice(a_off, a_off + stride * h_out, stride)
@@ -469,7 +474,9 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     node that repeats, in the same order, the arithmetic of the elementwise
     ops it replaces (mean, sub, mul, sqrt, div, add), so values and
     gradients are bit-equal to that composed chain without its temporaries.
-    The running update is state mutation outside the tape.
+    The running update is state mutation outside the tape. Training mode
+    normalizes in place and keeps only ``m``, ``s`` and ``inv`` beside the
+    input; its input and gamma rules recompute ``x.data - m``.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -491,13 +498,13 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     axes = tuple(range(x.ndim - 1))
     count = x.size // c
     m = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - m
-    v = (centered * centered).mean(axis=axes, keepdims=True)
+    data = x.data - m  # centered, normalized in place below
+    v = (data * data).mean(axis=axes, keepdims=True)
     for stat, batch in ((running_mean, m), (running_var, v)):
         fold_running(stat, BN_MOMENTUM * batch.reshape(c))
     s = np.sqrt(v + NORM_EPS)
     inv = 1.0 / s
-    data = centered * inv
+    data *= inv
     data *= gam
     data += beta.data.reshape(bshape)
 
@@ -505,6 +512,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         # The composed chain's backward, in tape order: through the scale
         # 1/sqrt(v + eps), through both factors of centered*centered, then
         # through the mean subtracted from x.
+        centered = x.data - m
         g_normed = g * gam
         g_inv = _unbroadcast(g_normed * centered, bshape)
         g_s = -g_inv / (s * s)
@@ -516,7 +524,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         gx += _unbroadcast(-gx, bshape) / count
         return gx
 
-    return _make(data, (x, input_rule), (gamma, lambda g: g * (centered * inv)), (beta, lambda g: g))
+    return _make(data, (x, input_rule), (gamma, lambda g: g * ((x.data - m) * inv)), (beta, lambda g: g))
 
 
 # ---------------------------------------------------------------------------

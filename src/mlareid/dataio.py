@@ -245,9 +245,17 @@ def split_counts(images_per_id: int) -> tuple[int, int, int]:
 
 
 def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
-    """Write the dataset and manifest under out_dir; returns the records, pixels as read back."""
+    """Write the dataset and manifest under out_dir; returns the records, pixels as read back.
+
+    Refuses a split folder that already holds a file, before writing
+    anything: ``load_dataset`` would read the old images beside the new.
+    """
     spec.validate()
     out = Path(out_dir)
+    for split in SPLITS:
+        used = sorted(p for p in (out / split).glob("*") if p.is_file())
+        if used:
+            raise DataFormatError(f"{used[0]}: synth needs a new or empty directory, {out / split} is in use")
     try:
         for split in SPLITS:
             (out / split).mkdir(parents=True, exist_ok=True)

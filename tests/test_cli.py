@@ -83,6 +83,16 @@ class TestSynth:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_used_out_exits_two_naming_a_file(self, tmp_path, capsys):
+        args = ["synth", "--out", str(tmp_path / "d"), "--ids", "3", "--images-per-id", "5",
+                "--image-hw", "16,16"]
+        assert main(args) == 0
+        manifest = (tmp_path / "d" / "manifest.csv").read_text()
+        capsys.readouterr()
+        assert main(args[:-1] + ["32,16"]) == 2
+        assert "train/0000_c1_0000.ppm" in capsys.readouterr().err
+        assert (tmp_path / "d" / "manifest.csv").read_text() == manifest
+
     def test_synth_flags_are_the_spec_fields_plus_out(self):
         """One flag per SynthSpec field (two with short names) plus out."""
         assert subcommand_flags("synth") == {

@@ -164,6 +164,20 @@ class TestSynthGenerate:
         assert lines[0] == "path,pid,camid,split"
         assert len(lines) == len(records) + 1
 
+    def test_used_directory_refused_before_writing(self, tmp_path):
+        """A second set into a used directory is refused, naming a file, and nothing is written."""
+        synth_generate(small_spec(num_ids=6, seed=1), tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(DataFormatError, match="train/0000_c1_0000.ppm"):
+            synth_generate(small_spec(num_ids=4, seed=2), tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert len(load_dataset(tmp_path)) == 6 * 6
+
+    def test_empty_split_folders_are_reused(self, tmp_path):
+        for split in ("train", "query", "gallery"):
+            (tmp_path / split).mkdir()
+        assert len(synth_generate(small_spec(), tmp_path)) == len(load_dataset(tmp_path))
+
     @pytest.mark.parametrize(
         "kwargs",
         [

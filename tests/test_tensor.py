@@ -1,6 +1,7 @@
 """Tensor arithmetic and reverse-mode gradients against loop oracles."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -565,6 +566,27 @@ class TestBackward:
         for leaf, want in ((x, np.matmul(g_a, w1.data.T)), (w1, np.matmul(x.data.T, g_a)),
                            (w2, np.matmul(h.data.T, g_y))):
             assert leaf.grad.tobytes() == (np.zeros(leaf.shape) + want).tobytes()
+
+    def test_backward_frees_nodes_as_it_goes(self):
+        """A node nobody holds is gone before the rules of the node below it run."""
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        a = x * 2.0
+        seen = []
+
+        def rule(g):
+            seen.append(b_ref() is None)
+            return g
+
+        probe = ad._make(a.data.copy(), (a, rule))
+        b = relu(probe)
+        b_ref = weakref.ref(b)
+        loss = b.sum()
+        del b  # only the tape holds b now
+        loss.backward()
+        assert seen == [True]
+        assert x.grad.tolist() == [2.0, 0.0, 2.0]
+        assert a.data.tolist() == [2.0, -4.0, 6.0] and probe.data.tolist() == [2.0, -4.0, 6.0]
+        assert a.grad is None and probe.grad is None
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError, match="scalar"):
