@@ -87,12 +87,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _effective(parse_config(args.config) if args.config else TrainConfig(), args)
     _echo("train config", config_lines(cfg))
-    data = Path(args.data)
-    if not data.is_dir():
-        raise FileNotFoundError(f"data directory {data} does not exist")
-    checkpoint, reports = run_training(
-        cfg, data, args.out, resume_from=args.resume
-    )
+    checkpoint, reports = run_training(cfg, args.data, args.out, resume_from=args.resume)
     for report in reports:
         print(report.csv_row())
     print(f"checkpoint: {checkpoint}")

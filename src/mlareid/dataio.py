@@ -39,11 +39,22 @@ _TAG_IMAGE = 3
 
 @dataclass
 class ImageRecord:
-    pixels: np.ndarray  # [h,w,3] floats in [0,1]
+    """One image as its PPM body, ``raw`` ([h,w,3] uint8), plus its filename's ids.
+
+    Bytes take an eighth of the float64 decode's memory. ``stack_pixels``
+    decodes a batch in one step; ``pixels`` decodes this record alone.
+    """
+
+    raw: np.ndarray
     pid: int
     camid: int
     split: str
     path: str
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """[h,w,3] floats in [0,1], ``raw / 255``: the bits ``stack_pixels`` gives this record."""
+        return self.raw / 255.0
 
 
 @dataclass
@@ -98,7 +109,7 @@ def bilinear_upsample(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def write_ppm(path: str | Path, pixels: np.ndarray) -> np.ndarray:
-    """Write [h,w,3] floats in [0,1] as binary 8-bit PPM; returns the pixels ``read_ppm`` reads back."""
+    """Write [h,w,3] floats in [0,1] as binary 8-bit PPM; returns the uint8 bytes written, undecoded."""
     h, w, c = pixels.shape
     if c != 3:
         raise DataFormatError(f"PPM needs 3 channels, got {c}")
@@ -106,11 +117,11 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> np.ndarray:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
-    return data / 255.0
+    return data
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary 8-bit PPM into [h,w,3] floats in [0,1]."""
+    """Read a binary 8-bit PPM's body as [h,w,3] uint8, undecoded (``stack_pixels`` decodes)."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -141,7 +152,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
     raw = blob[pos:pos + need]
     if len(raw) != need:
         raise DataFormatError(f"{path}: truncated pixel data ({len(raw)} of {need} bytes)")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3) / 255.0
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
 
 
 # Generator proportions. Backgrounds are low-frequency fields; the figure
@@ -221,14 +232,20 @@ def _image_draws(spec: SynthSpec, pid: int, camid: int, idx: int) -> tuple[np.ra
     return rng, dy, dx
 
 
-def render_image(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
-    """Deterministically render one image of an identity under a camera."""
+def _render(spec: SynthSpec, pid: int, camid: int, idx: int,
+            background: np.ndarray, style: _FigureStyle) -> np.ndarray:
+    """One image on a camera background and an identity style rendered beforehand."""
     rng, dy, dx = _image_draws(spec, pid, camid, idx)
-    canvas = _camera_background(spec, camid).copy()
-    _draw_figure(canvas, _identity_style(spec, pid), dy, dx)
+    canvas = background.copy()
+    _draw_figure(canvas, style, dy, dx)
     if spec.noise_sigma > 0:
         canvas = canvas + rng.normal(0.0, spec.noise_sigma, size=canvas.shape)
     return np.clip(canvas, 0.0, 1.0)
+
+
+def render_image(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
+    """Deterministically render one image of an identity under a camera."""
+    return _render(spec, pid, camid, idx, _camera_background(spec, camid), _identity_style(spec, pid))
 
 
 def figure_mask(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
@@ -245,7 +262,9 @@ def split_counts(images_per_id: int) -> tuple[int, int, int]:
 
 
 def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
-    """Write the dataset and manifest under out_dir; returns the records, pixels as read back.
+    """Write the dataset and manifest under out_dir; returns the records, holding the bytes written.
+
+    Each camera's background and each identity's style is rendered once.
 
     Refuses a split folder that already holds a file, before writing
     anything: ``load_dataset`` would read the old images beside the new.
@@ -263,8 +282,10 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
         raise DataFormatError(f"cannot create dataset directory {out}: {exc}") from exc
 
     n_train, n_query, _ = split_counts(spec.images_per_id)
+    backgrounds = {camid: _camera_background(spec, camid) for camid in range(1, spec.num_cameras + 1)}
     records: list[ImageRecord] = []
     for pid in range(spec.num_ids):
+        style = _identity_style(spec, pid)
         for idx in range(spec.images_per_id):
             camid = idx % spec.num_cameras + 1
             if idx < n_train:
@@ -275,10 +296,10 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
                 split = "gallery"
             rel = f"{split}/{pid:04d}_c{camid}_{idx:04d}.ppm"
             try:
-                pixels = write_ppm(out / rel, render_image(spec, pid, camid, idx))
+                raw = write_ppm(out / rel, _render(spec, pid, camid, idx, backgrounds[camid], style))
             except OSError as exc:
                 raise DataFormatError(f"cannot write {out / rel}: {exc}") from exc
-            records.append(ImageRecord(pixels=pixels, pid=pid, camid=camid, split=split, path=rel))
+            records.append(ImageRecord(raw=raw, pid=pid, camid=camid, split=split, path=rel))
 
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -289,8 +310,13 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> list[ImageRecord]:
 
 
 def load_dataset(root: str | Path) -> list[ImageRecord]:
-    """Read all splits back into records, ordered lexicographically by path."""
+    """Read all splits back into records, ordered lexicographically by path.
+
+    A missing ``root`` is a ``DataFormatError`` naming it, before any file is read.
+    """
     root = Path(root)
+    if not root.is_dir():
+        raise DataFormatError(f"data directory {root} does not exist")
     records: list[ImageRecord] = []
     for split in SPLITS:
         split_dir = root / split
@@ -307,7 +333,7 @@ def load_dataset(root: str | Path) -> list[ImageRecord]:
             pid, camid = int(match.group(1)), int(match.group(2))
             records.append(
                 ImageRecord(
-                    pixels=read_ppm(path),
+                    raw=read_ppm(path),
                     pid=pid,
                     camid=camid,
                     split=split,
@@ -319,9 +345,13 @@ def load_dataset(root: str | Path) -> list[ImageRecord]:
 
 
 def stack_pixels(records: list[ImageRecord]) -> np.ndarray:
-    """Pixels only, [n,h,w,3]; the training path never sees pid or camid."""
+    """Pixels only, [n,h,w,3] floats in [0,1]; the training path never sees pid or camid.
+
+    The one decode of a batch: the records' bytes are stacked, then divided
+    by 255 elementwise, the same bits as stacking each record's ``pixels``.
+    """
     for rec in records:
-        if rec.pixels.shape != records[0].pixels.shape:
-            raise DataFormatError(f"{rec.path} has shape {rec.pixels.shape}, "
-                                  f"but {records[0].path} has {records[0].pixels.shape}")
-    return np.stack([rec.pixels for rec in records])
+        if rec.raw.shape != records[0].raw.shape:
+            raise DataFormatError(f"{rec.path} has shape {rec.raw.shape}, "
+                                  f"but {records[0].path} has {records[0].raw.shape}")
+    return np.stack([rec.raw for rec in records]) / 255.0

@@ -491,12 +491,12 @@ def run_training(
 ) -> tuple[Path, list[EpochReport]]:
     """Train for cfg.clustering_iterations, writing report.csv and checkpoint.bin."""
     cfg.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records = [r for r in load_dataset(data_dir) if r.split == "train"]
     if not records:
         raise DataFormatError(f"no training images found under {data_dir}")
     pixels = stack_pixels(records)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     if resume_from is not None:
         state = load_run_checkpoint(resume_from, cfg, pixels)

@@ -366,8 +366,8 @@ class TestCriterion8Heatmaps:
             overlays_ok &= len(ppms) == 1
             if ppms:
                 img = read_ppm(ppms[0])
-                overlays_ok &= img.shape == records[0].pixels.shape
-                overlays_ok &= bool((img >= 0).all() and (img <= 1).all())
+                overlays_ok &= img.shape == records[0].raw.shape
+                overlays_ok &= img.dtype == np.uint8
 
         ok = loop_err < 1e-10 and (zero_map == 0).all() and in_range and overlays_ok
         report(

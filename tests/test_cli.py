@@ -109,6 +109,7 @@ class TestTrain:
         ])
         assert code == 2
         assert "nope" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_echoes_effective_config_with_overrides(self, workspace, tmp_path, capsys):
         code = main([
@@ -255,6 +256,15 @@ class TestEval:
         ])
         assert code == 2
 
+    def test_missing_data_dir_exits_two_naming_path(self, workspace, tmp_path, capsys):
+        code = main([
+            "eval", "--data", str(tmp_path / "nope"),
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"data directory {tmp_path / 'nope'} does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("corrupt", ["entry name", "meta.train text"])
     def test_checkpoint_not_utf8_exits_two_naming_file(self, workspace, tmp_path, corrupt, capsys):
         bad = tmp_path / "bad.bin"
@@ -285,7 +295,16 @@ class TestHeatmap:
         assert len(ppms) == 2 and len(csvs) == 2
         pixels = read_ppm(ppms[0])
         assert pixels.shape == (16, 16, 3)
-        assert np.all((pixels >= 0) & (pixels <= 1))
+        assert pixels.dtype == np.uint8
+
+    def test_missing_data_dir_exits_two_naming_path(self, workspace, tmp_path, capsys):
+        code = main([
+            "heatmap", "--data", str(tmp_path / "nope"),
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"data directory {tmp_path / 'nope'} does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_limit_below_one_exits_one_naming_the_flag(self, workspace, tmp_path, capsys):
         for limit in ("0", "-1"):

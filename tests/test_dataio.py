@@ -1,5 +1,8 @@
 """Synthetic generator, PPM round-trips and dataset loading."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,9 +63,11 @@ class TestPpm:
         rng = np.random.default_rng(1)
         pixels = rng.uniform(0, 1, size=(5, 7, 3))
         path = tmp_path / "img.ppm"
-        write_ppm(path, pixels)
+        written = write_ppm(path, pixels)
         loaded = read_ppm(path)
-        np.testing.assert_array_equal(loaded, np.round(pixels * 255) / 255.0)
+        assert loaded.dtype == written.dtype == np.uint8
+        np.testing.assert_array_equal(loaded, np.round(pixels * 255))
+        np.testing.assert_array_equal(written, loaded)
 
     def test_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "img.ppm"
@@ -70,7 +75,7 @@ class TestPpm:
         path.write_bytes(b"P6\n# a comment\n2 1\n255\n" + body)
         loaded = read_ppm(path)
         assert loaded.shape == (1, 2, 3)
-        np.testing.assert_allclose(loaded[0, 0], np.array([10, 20, 30]) / 255.0)
+        np.testing.assert_array_equal(loaded[0, 0], [10, 20, 30])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "img.ppm"
@@ -240,9 +245,48 @@ class TestLoadDataset:
         """A record whose size differs from the first's is a data-format error naming both."""
         train = [r for r in synth_generate(small_spec(), tmp_path) if r.split == "train"]
         odd = train[3]
-        odd.pixels = np.zeros((16, 16, 3))
+        odd.raw = np.zeros((16, 16, 3), dtype=np.uint8)
         with pytest.raises(DataFormatError) as info:
             stack_pixels(train)
         message = str(info.value)
         assert odd.path in message and train[0].path in message
         assert "(16, 16, 3)" in message and "(32, 16, 3)" in message
+
+
+class TestRecordBytes:
+    """Records hold the files' 8-bit bytes; ``stack_pixels`` is the one decode."""
+
+    def test_stack_pixels_is_the_bytes_over_255(self, tmp_path):
+        """Bit for bit, on synth and on loaded records, with pixels at 0 and 255."""
+        spec = small_spec(background_strength=1.0, noise_sigma=0.5)
+        written = synth_generate(spec, tmp_path)
+        for records in (written, load_dataset(tmp_path)):
+            raw = np.stack([r.raw for r in records])
+            assert raw.dtype == np.uint8 and (raw == 0).any() and (raw == 255).any()
+            stacked = stack_pixels(records)
+            assert stacked.dtype == np.float64
+            assert stacked.tobytes() == np.stack([r.raw / 255.0 for r in records]).tobytes()
+            assert stacked.tobytes() == np.stack([r.pixels for r in records]).tobytes()
+
+    def test_records_hold_under_two_bytes_per_channel(self, tmp_path):
+        """Synth's and load_dataset's records hold under 2 n*h*w*3 bytes; float64 would hold 8."""
+        spec = small_spec(image_hw=(64, 32))
+        synth_generate(spec, tmp_path / "warm")  # first-call caches are not the records'
+        load_dataset(tmp_path / "warm")
+        bound = 2 * spec.num_ids * spec.images_per_id * 64 * 32 * 3
+
+        def held(make):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                records = make()
+                gc.collect()
+                size = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(records) == spec.num_ids * spec.images_per_id
+            return size
+
+        assert held(lambda: synth_generate(spec, tmp_path / "data")) < bound
+        assert held(lambda: load_dataset(tmp_path / "data")) < bound

@@ -174,7 +174,7 @@ def tiny_backbone(mode="all", seed=0):
 def tiny_record(seed=0, pid=0, camid=1, split="query"):
     rng = np.random.default_rng(seed)
     return ImageRecord(
-        pixels=rng.uniform(0, 1, size=(16, 8, 3)), pid=pid, camid=camid, split=split, path="q.ppm"
+        raw=rng.integers(0, 256, size=(16, 8, 3), dtype=np.uint8), pid=pid, camid=camid, split=split, path="q.ppm"
     )
 
 
@@ -333,7 +333,7 @@ class TestExportHeatmap:
         export_heatmap(hm, tmp_path / "hm", source_pixels=source)
         overlay = read_ppm(tmp_path / "hm.ppm")
         expect = 0.5 * source + 0.5 * np.array([0.0, 0.0, 1.0])
-        np.testing.assert_allclose(overlay, np.round(expect * 255) / 255, atol=1e-12)
+        np.testing.assert_array_equal(overlay, np.round(expect * 255))
 
     def test_overlay_size_matches_source(self, tmp_path):
         source = np.zeros((16, 8, 3))
