@@ -20,8 +20,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy loads: extraction already uses every core
 import numpy as np  # noqa: E402
 
-from .dataio import SynthSpec, load_dataset, synth_generate  # noqa: E402
-from .errors import ContractError  # noqa: E402
+from .dataio import ImageRecord, SynthSpec, load_dataset, synth_generate  # noqa: E402
+from .errors import ContractError, DataFormatError  # noqa: E402
 from .evalviz import export_heatmap, grad_cam_heatmap, retrieval_metrics, write_metrics_csv  # noqa: E402
 from .pipeline import (  # noqa: E402
     TrainConfig,
@@ -76,6 +76,15 @@ def _effective(cfg, args):
     return apply_config_lines(cfg, lines, where=[flags[name] for name in given])
 
 
+def _load_splits(data: str, splits: tuple[str, ...]) -> list[ImageRecord]:
+    """The records under ``data``; a split of ``splits`` without images is missing input data."""
+    records = load_dataset(data)
+    for split in splits:
+        if not any(r.split == split for r in records):
+            raise DataFormatError(f"no images in split {split!r} under {data}")
+    return records
+
+
 def _cmd_synth(args) -> int:
     spec = _effective(SynthSpec(), args)
     _echo("synth spec", config_lines(spec))
@@ -104,7 +113,7 @@ def _cmd_eval(args) -> int:
             f"attention_mode = {backbone.cfg.attention_mode}",
         ],
     )
-    metrics = retrieval_metrics(backbone, load_dataset(args.data))
+    metrics = retrieval_metrics(backbone, _load_splits(args.data, ("query", "gallery")))
     out = Path(args.out) if args.out else Path(args.checkpoint).parent
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(metrics, out / "metrics.csv")
@@ -127,9 +136,7 @@ def _cmd_heatmap(args) -> int:
             f"target = {'cluster logit' if memory is not None else 'embedding energy'}",
         ],
     )
-    records = [r for r in load_dataset(args.data) if r.split == args.split]
-    if not records:
-        raise ContractError(f"no images in split {args.split!r} under {args.data}")
+    records = [r for r in _load_splits(args.data, (args.split,)) if r.split == args.split]
     out = Path(args.out) if args.out else Path(args.checkpoint).parent
     heat_dir = out / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MODES
-from .autodiff import Parameter, Tensor, fold_running, no_grad, zero_grads
+from .autodiff import Parameter, Tensor, fold_running, no_grad, usable_cores, zero_grads
 from .backbone import (
     BackboneConfig,
     BackboneParams,
@@ -259,8 +258,7 @@ def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarr
     thread per other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count.
     """
     starts = range(0, pixels.shape[0], FEATURE_CHUNK)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    streams = max(1, min(cores or 1, len(starts)))
+    streams = max(1, min(usable_cores(), len(starts)))
 
     def run_stream(first: int) -> list[np.ndarray]:
         with no_grad():  # per thread

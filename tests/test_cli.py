@@ -265,6 +265,17 @@ class TestEval:
         assert f"data directory {tmp_path / 'nope'} does not exist" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_data_dir_without_images_exits_two_naming_it(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main([
+            "eval", "--data", str(empty),
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"no images in split 'query' under {empty}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("corrupt", ["entry name", "meta.train text"])
     def test_checkpoint_not_utf8_exits_two_naming_file(self, workspace, tmp_path, corrupt, capsys):
         bad = tmp_path / "bad.bin"
@@ -306,6 +317,17 @@ class TestHeatmap:
         assert f"data directory {tmp_path / 'nope'} does not exist" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_data_dir_without_images_exits_two_naming_it(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        (empty / "query").mkdir(parents=True)
+        code = main([
+            "heatmap", "--data", str(empty),
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"no images in split 'query' under {empty}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_limit_below_one_exits_one_naming_the_flag(self, workspace, tmp_path, capsys):
         for limit in ("0", "-1"):
             code = main([
@@ -337,15 +359,6 @@ class TestHeatmap:
         assert code == 0
         assert capsys.readouterr().out.count("target: cluster") == 2
         assert calls == [1, 1]
-
-    def test_empty_split_exits_one(self, workspace, tmp_path, capsys):
-        data = tmp_path / "empty"
-        (data / "query").mkdir(parents=True)
-        code = main([
-            "heatmap", "--data", str(data),
-            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
-        ])
-        assert code == 1
 
 
 class TestGradCheck:

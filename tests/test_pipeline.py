@@ -636,7 +636,7 @@ class TestBnWarmup:
 
 
 def pin_cores(monkeypatch, n):
-    """Make ``n`` cores look usable to extract_all_features."""
+    """Make ``n`` cores look usable to ``autodiff.usable_cores``."""
     import os
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

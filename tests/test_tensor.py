@@ -1,7 +1,11 @@
 """Tensor arithmetic and reverse-mode gradients against loop oracles."""
 
+import multiprocessing
+import queue
+import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +28,9 @@ from mlareid.autodiff import (
     transpose,
     zero_grads,
 )
+from mlareid.attention import MODES
 from mlareid.errors import ContractError, DimensionError
+from test_pipeline import pin_cores, tiny_backbone, within
 
 
 def conv2d_loop_reference(x, kernel, bias=None, stride=1, zero_pad=0):
@@ -751,3 +757,110 @@ class TestDeterminism:
             return x.grad.tobytes() + k.grad.tobytes()
 
         assert run() == run()
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A ThreadPoolExecutor that counts the tasks submitted to any instance."""
+
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        CountingPool.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+def large_product_loss():
+    """sum(x * w) over PARALLEL_MIN_SIZE elements: one node with two live rules that splits."""
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.standard_normal(ad.PARALLEL_MIN_SIZE), requires_grad=True)
+    w = Tensor(rng.standard_normal(ad.PARALLEL_MIN_SIZE), requires_grad=True)
+    (x * w).sum().backward()
+    return x.grad.tobytes() + w.grad.tobytes()
+
+
+class TestParallelBackward:
+    """On two or more cores backward runs a large node's later rules on a worker thread."""
+
+    @staticmethod
+    def train_step_grads(mode):
+        """Parameter-gradient bytes of one train-mode forward, ClusterNCE loss and backward."""
+        from mlareid.backbone import build_backbone, extract_features
+        from mlareid.contrast import MemoryDictionary, cluster_nce_loss
+        from mlareid.layers import parameters
+
+        rng = np.random.default_rng(MODES.index(mode))
+        params = build_backbone(tiny_backbone(mode), 5)
+        centroids = rng.standard_normal((3, 4))
+        memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True), 0.05, 0.1)
+        images = Tensor(rng.uniform(0.0, 1.0, (12, 16, 16, 3)))
+        cluster_nce_loss(extract_features(images, params, training=True), np.arange(12) % 3, memory).backward()
+        return b"".join(p.grad.tobytes() for p in parameters(params))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_step_gradients_do_not_depend_on_the_core_count(self, monkeypatch, mode):
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+        grads, submits = {}, {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for cores in (1, 2, 8):
+                pin_cores(monkeypatch, cores)
+                CountingPool.submits = 0
+                grads[cores] = within(120, self.train_step_grads, mode)
+                submits[cores] = CountingPool.submits
+        finally:
+            sys.setswitchinterval(interval)
+        assert submits[1] == 0 and submits[2] == submits[8] > 0, submits
+        assert grads[2] == grads[1]
+        assert grads[8] == grads[1]
+
+    def test_heatmap_grid_does_not_depend_on_the_core_count(self, monkeypatch):
+        from mlareid.backbone import build_backbone
+        from mlareid.dataio import ImageRecord
+        from mlareid.evalviz import grad_cam_heatmap
+
+        params = build_backbone(tiny_backbone("all"), 6)
+        raw = np.random.default_rng(6).integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
+        record = ImageRecord(raw=raw, pid=0, camid=1, split="query", path="q.ppm")
+        grids = []
+        for cores in (1, 2):
+            pin_cores(monkeypatch, cores)
+            grids.append(within(60, grad_cam_heatmap, record, params).grid.tobytes())
+        assert grids[0] == grids[1]
+
+    def test_a_failing_worker_rule_raises_and_leaves_no_thread(self, monkeypatch):
+        pin_cores(monkeypatch, 2)
+        x = Tensor(np.ones(ad.PARALLEL_MIN_SIZE), requires_grad=True)
+        w = Tensor(np.ones(ad.PARALLEL_MIN_SIZE), requires_grad=True)
+        ran_on = []
+
+        def failing_rule(g):
+            ran_on.append(threading.get_ident())
+            raise RuntimeError("worker rule failed")
+
+        product = ad._make(x.data * w.data, (x, lambda g: g * w.data), (w, failing_rule))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker rule failed"):
+            product.sum().backward()
+        assert ran_on and ran_on[0] != threading.get_ident()
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_backward_in_a_fork_child_after_one_in_the_parent(self, monkeypatch):
+        """No worker thread outlives backward, so a forked child's backward cannot wait on a dead one."""
+        pin_cores(monkeypatch, 2)
+        want = large_product_loss()
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(large_product_loss()))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("the forked child's backward did not return within 60 s")
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert got == want
+        assert child.exitcode == 0
