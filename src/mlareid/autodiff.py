@@ -12,7 +12,7 @@ is built from the ops here. Conventions:
   forward-only passes keep no intermediates alive and compute the same bits,
 * identical inputs give bit-identical outputs, and ``Tensor.backward``
   the same gradient bytes at any core count, with BLAS pinned to one
-  thread (it runs a large node's input rule beside its parameter rules),
+  thread (it runs a node's input rule beside its parameter rules),
 * normalization ops guard zero denominators with ``NORM_EPS``.
 
 Gradients accumulate into ``Tensor.grad`` across backward calls until
@@ -34,11 +34,6 @@ from .errors import ContractError, DimensionError
 
 NORM_EPS = 1e-12  # inside l1/l2 norms and batch-norm variance
 FD_STEP = 1e-5  # finite_diff_check's central-difference step
-# Smallest node (elements of its output) whose rules backward splits over two threads; a
-# smaller node's rules cost about as much as handing them to the worker. A 16-image desk-size
-# train step (default config, mode all, BLAS 1 thread, 2-vCPU Xeon) took 100-105 ms with no
-# split, 85-86 ms at 4096, 85-89 ms at 65536, 96-99 ms at 262144 and 81-90 ms at 0.
-PARALLEL_MIN_SIZE = 4096
 
 # Maps an op's output gradient to one input's gradient, before it is summed to that input's shape.
 Rule = Callable[[np.ndarray], np.ndarray]
@@ -80,7 +75,7 @@ class Tensor:
         Each node's rules run in the order its op lists its inputs, and only
         for inputs that require a gradient; each result is summed to its
         input's shape and added into that input's ``grad`` in that order,
-        also when a second core runs a large node's later rules
+        also when a second core runs a node's later rules
         (``_run_rules``). Nodes are popped off the topological order and an
         interior node drops its rules and ``grad`` once they ran, so one that
         nothing else holds is freed with its activation (no reuse). Only
@@ -169,25 +164,25 @@ def usable_cores() -> int:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _run_rules(node: Tensor, pool: ThreadPoolExecutor | None) -> None:
     """Add each rule result of ``node``, summed to its input's shape, into that input's ``grad``.
 
-    Only rules whose input requires a gradient run. Given a pool, a node of at least
-    ``PARALLEL_MIN_SIZE`` elements with two or more of them runs the first (the input
-    gradient of conv2d, batch_norm and matmul) on the calling thread and the others on the
-    pool, and adds the results in listed order once all have returned. Each rule is a pure
-    function of ``node.grad`` and its closure, so every ``grad`` receives the same additions
-    in the same order as on one thread.
+    Only rules whose input requires a gradient run. Given a pool, a node with two or more
+    of them runs the first (the input gradient of conv2d, batch_norm and matmul) on the
+    calling thread and the others on the pool, and adds the results in listed order once all
+    have returned; desk-train went from 132 to 167 img/s with it (BENCH_19.json). Each rule
+    is a pure function of ``node.grad`` and its closure, so every ``grad`` receives the same
+    additions in the same order as on one thread.
     """
     live = [(parent, rule) for parent, rule in node._rules if parent.requires_grad]
 
     def summed(parent: Tensor, rule: Rule) -> np.ndarray:
         return _unbroadcast(rule(node.grad), parent.shape)
 
-    if pool is not None and len(live) > 1 and node.size >= PARALLEL_MIN_SIZE:
+    if pool is not None and len(live) > 1:
         rest = pool.submit(lambda: [summed(*pair) for pair in live[1:]])
         grads = [summed(*live[0]), *rest.result()]
     else:
@@ -311,9 +306,8 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    # stable in both tails
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(a.data))  # stable in both tails
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _make(data, (a, lambda g: g * data * (1.0 - data)))
 
 
@@ -362,7 +356,7 @@ def getitem(a, idx) -> Tensor:
         np.add.at(gx, idx, g)
         return gx
 
-    return _make(np.ascontiguousarray(a.data[idx]), (a, rule))
+    return _make(a.data[idx], (a, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +444,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
         return np.dot(im2col().T, g.reshape(-1, c_out)).reshape(kernel.shape)
 
     bias_rule = () if b is None else ((b, lambda g: g),)
-    return _make(np.ascontiguousarray(data), (x, input_rule), (kernel, kernel_rule), *bias_rule)
+    return _make(data, (x, input_rule), (kernel, kernel_rule), *bias_rule)
 
 
 # ---------------------------------------------------------------------------

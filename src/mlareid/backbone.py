@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import MODES, MlaBlockParams, init_mla_block, mla_block_forward
+from .attention import MlaBlockParams, init_mla_block, mla_block_forward
 from .autodiff import (
     Parameter,
     Tensor,
@@ -68,10 +68,6 @@ class BackboneConfig:
         if fh < 2 or fw < 2:
             raise ConfigError(
                 f"final feature map {fh}x{fw} is below 2x2; attention needs multiple positions"
-            )
-        if self.attention_mode not in MODES:
-            raise ConfigError(
-                f"unknown attention mode {self.attention_mode!r}, expected one of {MODES}"
             )
         if self.c_mid < 1 or self.c_k < 1:
             raise ConfigError(f"last stage width {self.stage_channels[-1]} is too narrow")

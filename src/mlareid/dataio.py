@@ -243,11 +243,6 @@ def _render(spec: SynthSpec, pid: int, camid: int, idx: int,
     return np.clip(canvas, 0.0, 1.0)
 
 
-def render_image(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
-    """Deterministically render one image of an identity under a camera."""
-    return _render(spec, pid, camid, idx, _camera_background(spec, camid), _identity_style(spec, pid))
-
-
 def figure_mask(spec: SynthSpec, pid: int, camid: int, idx: int) -> np.ndarray:
     """The foreground mask the renderer would paint for this image."""
     _, dy, dx = _image_draws(spec, pid, camid, idx)

@@ -254,8 +254,9 @@ def _derived_seed(*keys: int) -> int:
 def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Eval-mode features in input order, computed on every usable core.
 
-    The calling thread (so its heap arena, which training reuses, serves too) and one pool
-    thread per other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count.
+    The calling thread (so its heap arena, which training reuses, serves too: desk peak RSS
+    116-122 MiB against 130-133 MiB for a pool.map over all chunks) and one pool thread per
+    other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count.
     """
     starts = range(0, pixels.shape[0], FEATURE_CHUNK)
     streams = max(1, min(usable_cores(), len(starts)))
@@ -281,9 +282,9 @@ def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:
     y, bit for bit; this needs every batch-norm site to run once per forward,
     as each does). The saved values are then restored and the increments
     are folded in pass by pass, chunk by chunk: the updates of the plain loop
-    in its order, with one forward per image instead of ``passes``. It stays
-    on the calling thread: a second forward thread saved 0.3 s of a desk run
-    but raised its peak RSS from 176 to 222-242 MiB.
+    in its order, with one forward per image instead of ``passes`` (0.64 s against 2.65 s
+    in a traced desk pair, BENCH_16.json). It stays on the calling thread: a second forward
+    thread saved 0.3 s of a desk run but raised its peak RSS from 176 to 222-242 MiB.
     """
     if passes == 0:
         return
@@ -399,12 +400,16 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
 # checkpoint binding
 # ---------------------------------------------------------------------------
 
-def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
-    """The UTF-8 text stored under ``name``, one float64 per byte (round-trips exactly)."""
+def _stored(entries: dict[str, np.ndarray], name: str, path) -> np.ndarray:
     if name not in entries:
         raise DataFormatError(f"checkpoint {path} lacks {name!r}")
+    return entries[name]
+
+
+def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
+    """The UTF-8 text stored under ``name``, one float64 per byte (round-trips exactly)."""
     try:
-        return entries[name].astype(np.uint8).tobytes().decode("utf-8")
+        return _stored(entries, name, path).astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"checkpoint {path} {name} is not UTF-8 text ({exc})") from None
 
@@ -470,10 +475,10 @@ def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) 
 
     m, v = ({name[len(p):]: a for name, a in entries.items() if name.startswith(p)}
             for p in ("optim.m.", "optim.v."))
-    optim = AdamState(m, v, int(entries.get("optim.t", 0)))
+    optim = AdamState(m, v, int(_stored(entries, "optim.t", path)))
 
     state = RunState(cfg=cfg, backbone=backbone, optim=optim, pixels=pixels,
-                     iteration=int(entries["pipeline.iteration"]), memory=memory)
+                     iteration=int(_stored(entries, "pipeline.iteration", path)), memory=memory)
     if state.data != stored_data:
         raise ConfigError(f"train-split pixels differ from the checkpoint's: "
                           f"sha256 {stored_data} in {path}, {state.data} given")
@@ -493,8 +498,6 @@ def run_training(
     if not records:
         raise DataFormatError(f"no training images found under {data_dir}")
     pixels = stack_pixels(records)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     if resume_from is not None:
         state = load_run_checkpoint(resume_from, cfg, pixels)
@@ -513,6 +516,8 @@ def run_training(
             optim=AdamState(),
             pixels=pixels,
         )
+    out = Path(out_dir)  # created only once the run is accepted
+    out.mkdir(parents=True, exist_ok=True)
 
     # Calibrate batch-norm running statistics before the first clustering
     # pass; a freshly initialized network otherwise collapses every eval-mode

@@ -13,6 +13,13 @@ from mlareid.dataio import read_ppm, write_ppm
 from mlareid.pipeline import load_backbone_from_checkpoint
 
 
+# The workspace run's train flags, apart from --data, --out and --iterations.
+RUN_FLAGS = [
+    "--mode", "baseline", "--seed", "0", "--batch-p", "2", "--batch-k", "2",
+    "--eps", "0.01", "--min-pts", "2", "--bn-warmup-passes", "1",
+]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A synthesized dataset plus one short training run, via the CLI."""
@@ -25,12 +32,7 @@ def workspace(tmp_path_factory):
     ])
     assert code == 0
     run = root / "run"
-    code = main([
-        "train", "--data", str(data), "--out", str(run),
-        "--iterations", "1", "--mode", "baseline", "--seed", "0",
-        "--batch-p", "2", "--batch-k", "2", "--eps", "0.01", "--min-pts", "2",
-        "--bn-warmup-passes", "1",
-    ])
+    code = main(["train", "--data", str(data), "--out", str(run), "--iterations", "1", *RUN_FLAGS])
     assert code == 0
     return root
 
@@ -211,6 +213,30 @@ class TestTrain:
         assert len(set(digests)) == 2, err
         assert checkpoint.read_bytes() == saved
         assert train(first, 3, "--resume", str(checkpoint)) == 0
+
+    @pytest.mark.parametrize("checkpoint, mode, code", [
+        ("nope.bin", "baseline", 2),  # no such checkpoint
+        ("run/checkpoint.bin", "all", 1),  # the checkpoint was trained in mode baseline
+    ])
+    def test_refused_resume_creates_no_out_dir(self, workspace, tmp_path, checkpoint, mode, code):
+        flags = [*RUN_FLAGS, "--mode", mode]  # the later --mode wins
+        out = tmp_path / "fresh"
+        assert main([
+            "train", "--data", str(workspace / "data"), "--out", str(out), "--iterations", "2",
+            *flags, "--resume", str(workspace / checkpoint),
+        ]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["pipeline.iteration", "optim.t"])
+    def test_resume_without_a_count_exits_two_naming_it(self, workspace, tmp_path, entry, capsys):
+        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        del entries[entry]
+        save_checkpoint(tmp_path / "old.bin", entries)
+        assert main([
+            "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+            "--iterations", "2", *RUN_FLAGS, "--resume", str(tmp_path / "old.bin"),
+        ]) == 2
+        assert f"checkpoint {tmp_path / 'old.bin'} lacks {entry!r}" in capsys.readouterr().err
 
     def test_train_flags_are_the_config_fields_plus_four(self):
         """One flag per TrainConfig field (two with short names) plus data, out, config, resume."""

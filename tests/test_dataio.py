@@ -13,7 +13,6 @@ from mlareid.dataio import (
     figure_mask,
     load_dataset,
     read_ppm,
-    render_image,
     split_counts,
     stack_pixels,
     synth_generate,
@@ -29,6 +28,15 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SynthSpec(**base)
+
+
+def rendered(spec, out_dir):
+    """Each image ``synth_generate`` writes, as pixels keyed by its filename's (pid, camid, idx)."""
+    images = {}
+    for rec in synth_generate(spec, out_dir):
+        pid, camid, idx = map(int, FILENAME_RE.match(rec.path.split("/")[1]).groups())
+        images[pid, camid, idx] = rec.pixels
+    return images
 
 
 class TestBilinearUpsample:
@@ -130,35 +138,33 @@ class TestSynthGenerate:
             cams = {r.camid for r in records if r.pid == pid}
             assert cams == {1, 2}
 
-    def test_zero_background_makes_cameras_indistinguishable(self):
+    def test_zero_background_makes_cameras_indistinguishable(self, tmp_path):
         """With the confound dial at 0 the same pid renders identically everywhere."""
-        spec = small_spec(background_strength=0.0, noise_sigma=0.0, jitter_px=0)
-        a = render_image(spec, pid=1, camid=1, idx=0)
-        b = render_image(spec, pid=1, camid=2, idx=1)
-        assert a.tobytes() == b.tobytes()
+        images = rendered(small_spec(background_strength=0.0, noise_sigma=0.0, jitter_px=0), tmp_path)
+        assert images[1, 1, 0].tobytes() == images[1, 2, 1].tobytes()
 
-    def test_full_background_shared_within_camera(self):
+    def test_full_background_shared_within_camera(self, tmp_path):
         """At dial 1 two pids under one camera agree outside both figures."""
         spec = small_spec(background_strength=1.0, noise_sigma=0.0, jitter_px=0)
-        a = render_image(spec, pid=0, camid=1, idx=0)
-        b = render_image(spec, pid=1, camid=1, idx=0)
+        images = rendered(spec, tmp_path)
+        a, b = images[0, 1, 0], images[1, 1, 0]
         outside = ~(figure_mask(spec, 0, 1, 0) | figure_mask(spec, 1, 1, 0))
         assert outside.any()
         np.testing.assert_array_equal(a[outside], b[outside])
 
-    def test_confound_trap_direction(self):
+    def test_confound_trap_direction(self, tmp_path):
         """At dial 1, same-camera strangers look closer than cross-camera selves."""
-        spec = small_spec(num_ids=6, background_strength=1.0)
+        images = rendered(small_spec(num_ids=6, background_strength=1.0), tmp_path)
         same_cam_diff_pid = []
         diff_cam_same_pid = []
         for pid in range(6):
             for other in range(6):
                 if other != pid:
                     same_cam_diff_pid.append(
-                        np.abs(render_image(spec, pid, 1, 0) - render_image(spec, other, 1, 2)).mean()
+                        np.abs(images[pid, 1, 0] - images[other, 1, 2]).mean()
                     )
             diff_cam_same_pid.append(
-                np.abs(render_image(spec, pid, 1, 0) - render_image(spec, pid, 2, 1)).mean()
+                np.abs(images[pid, 1, 0] - images[pid, 2, 1]).mean()
             )
         assert np.mean(same_cam_diff_pid) < np.mean(diff_cam_same_pid)
 

@@ -770,16 +770,16 @@ class CountingPool(ThreadPoolExecutor):
 
 
 def large_product_loss():
-    """sum(x * w) over PARALLEL_MIN_SIZE elements: one node with two live rules that splits."""
+    """sum(x * w) over 4096 elements: one node with two live rules that splits."""
     rng = np.random.default_rng(41)
-    x = Tensor(rng.standard_normal(ad.PARALLEL_MIN_SIZE), requires_grad=True)
-    w = Tensor(rng.standard_normal(ad.PARALLEL_MIN_SIZE), requires_grad=True)
+    x = Tensor(rng.standard_normal(4096), requires_grad=True)
+    w = Tensor(rng.standard_normal(4096), requires_grad=True)
     (x * w).sum().backward()
     return x.grad.tobytes() + w.grad.tobytes()
 
 
 class TestParallelBackward:
-    """On two or more cores backward runs a large node's later rules on a worker thread."""
+    """On two or more cores backward runs a node's later rules on a worker thread."""
 
     @staticmethod
     def train_step_grads(mode):
@@ -814,6 +814,17 @@ class TestParallelBackward:
         assert grads[2] == grads[1]
         assert grads[8] == grads[1]
 
+    def test_a_three_element_node_splits_at_two_cores(self, monkeypatch):
+        """No size floor: any node with two live rules hands the later one to the worker."""
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+        pin_cores(monkeypatch, 2)
+        CountingPool.submits = 0
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        w = Tensor([4.0, 5.0, 6.0], requires_grad=True)
+        (x * w).sum().backward()
+        assert CountingPool.submits == 1
+        assert x.grad.tolist() == [4.0, 5.0, 6.0] and w.grad.tolist() == [1.0, 2.0, 3.0]
+
     def test_heatmap_grid_does_not_depend_on_the_core_count(self, monkeypatch):
         from mlareid.backbone import build_backbone
         from mlareid.dataio import ImageRecord
@@ -830,8 +841,8 @@ class TestParallelBackward:
 
     def test_a_failing_worker_rule_raises_and_leaves_no_thread(self, monkeypatch):
         pin_cores(monkeypatch, 2)
-        x = Tensor(np.ones(ad.PARALLEL_MIN_SIZE), requires_grad=True)
-        w = Tensor(np.ones(ad.PARALLEL_MIN_SIZE), requires_grad=True)
+        x = Tensor(np.ones(4096), requires_grad=True)
+        w = Tensor(np.ones(4096), requires_grad=True)
         ran_on = []
 
         def failing_rule(g):
