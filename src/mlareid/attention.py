@@ -223,7 +223,7 @@ def dla_forward(x: Tensor, p: DlaParams) -> Tensor:
 
 def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
     """Reduce, run the middle stages ``p`` holds, expand, add the shortcut."""
-    m = relu(p.bn1.apply(conv2d(x, p.reduce, stride=p.stride), training))
+    m = p.bn1.apply(conv2d(x, p.reduce, stride=p.stride), training, relu=True)
     if p.conv_mid is not None:
         m = conv2d(m, p.conv_mid, zero_pad=1)
     if p.pla is not None:
@@ -232,6 +232,6 @@ def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
         m = hla_forward(m, p.hla)
     if p.dla is not None:
         m = dla_forward(m, p.dla)
-    m = relu(p.bn2.apply(m, training))
+    m = p.bn2.apply(m, training, relu=True)
     z = p.bn3.apply(conv2d(m, p.expand), training)
     return relu(add(z, shortcut(x, p.shortcut, p.bn_sc, p.stride, training)))

@@ -13,7 +13,8 @@ is built from the ops here. Conventions:
 * identical inputs give bit-identical outputs, and ``Tensor.backward``
   the same gradient bytes at any core count, with BLAS pinned to one
   thread (it runs a node's input rule beside its parameter rules),
-* normalization ops guard zero denominators with ``NORM_EPS``.
+* normalization ops guard zero denominators with ``NORM_EPS``; batch norm
+  can take the ReLU after it into its own node (same bits, a smaller tape).
 
 Gradients accumulate into ``Tensor.grad`` across backward calls until
 explicitly zeroed; a tensor outside the tape never receives one.
@@ -499,8 +500,9 @@ def fold_running(stat: np.ndarray, increment: np.ndarray) -> None:
     stat += increment
 
 
-def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
-    """Per-channel batch norm over all leading axes (channels last).
+def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray, training: bool,
+               relu: bool = False) -> Tensor:
+    """Per-channel batch norm over all leading axes (channels last), or ``relu`` of it.
 
     Training mode normalizes by biased batch statistics and folds them into
     ``running_mean`` and ``running_var`` in place, with weight
@@ -511,6 +513,8 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     The running update is state mutation outside the tape. Training mode
     normalizes in place and keeps only ``m``, ``s`` and ``inv`` beside the
     input; its input and gamma rules recompute ``x.data - m``.
+    With ``relu`` it rectifies in place and each rule first masks ``g`` as ``relu(batch_norm(...))``
+    does: the same bits, with no pre-ReLU output on the tape (In-Place ABN's trade).
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -527,38 +531,44 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         data *= scale
         data *= gam
         data += beta.data.reshape(bshape)
-        return _make(data, (x, lambda g: (g * gam) * scale),
-                     (gamma, lambda g: g * ((x.data - rm) * scale)), (beta, lambda g: g))
-    axes = tuple(range(x.ndim - 1))
-    count = x.size // c
-    m = x.data.mean(axis=axes, keepdims=True)
-    data = x.data - m  # centered, normalized in place below
-    v = (data * data).mean(axis=axes, keepdims=True)
-    for stat, batch in ((running_mean, m), (running_var, v)):
-        fold_running(stat, BN_MOMENTUM * batch.reshape(c))
-    s = np.sqrt(v + NORM_EPS)
-    inv = 1.0 / s
-    data *= inv
-    data *= gam
-    data += beta.data.reshape(bshape)
+        rules = ((x, lambda g: (g * gam) * scale), (gamma, lambda g: g * ((x.data - rm) * scale)),
+                 (beta, lambda g: g))
+    else:
+        axes = tuple(range(x.ndim - 1))
+        count = x.size // c
+        m = x.data.mean(axis=axes, keepdims=True)
+        data = x.data - m  # centered, normalized in place below
+        v = (data * data).mean(axis=axes, keepdims=True)
+        for stat, batch in ((running_mean, m), (running_var, v)):
+            fold_running(stat, BN_MOMENTUM * batch.reshape(c))
+        s = np.sqrt(v + NORM_EPS)
+        inv = 1.0 / s
+        data *= inv
+        data *= gam
+        data += beta.data.reshape(bshape)
 
-    def input_rule(g):
-        # The composed chain's backward, in tape order: through the scale
-        # 1/sqrt(v + eps), through both factors of centered*centered, then
-        # through the mean subtracted from x.
-        centered = x.data - m
-        g_normed = g * gam
-        g_inv = _unbroadcast(g_normed * centered, bshape)
-        g_s = -g_inv / (s * s)
-        g_v = g_s * 0.5 / s
-        gx = g_normed * inv
-        t = centered * (g_v / count)
-        gx += t
-        gx += t
-        gx += _unbroadcast(-gx, bshape) / count
-        return gx
+        def input_rule(g):
+            # The composed chain's backward, in tape order: through the scale
+            # 1/sqrt(v + eps), through both factors of centered*centered, then
+            # through the mean subtracted from x (negation and division are
+            # sign-symmetric, so subtracting the sum is adding that of -gx).
+            centered = x.data - m
+            gx = g * gam
+            g_inv = _unbroadcast(gx * centered, bshape)
+            g_s = -g_inv / (s * s)
+            g_v = g_s * 0.5 / s
+            gx *= inv
+            centered *= g_v / count
+            gx += centered
+            gx += centered
+            gx -= _unbroadcast(gx, bshape) / count
+            return gx
 
-    return _make(data, (x, input_rule), (gamma, lambda g: g * ((x.data - m) * inv)), (beta, lambda g: g))
+        rules = ((x, input_rule), (gamma, lambda g: g * ((x.data - m) * inv)), (beta, lambda g: g))
+    if relu:  # 0.0 + turns -0.0 into 0.0 as the gradient sum into the unfused node's grad does
+        np.maximum(data, 0.0, out=data)
+        rules = tuple((t, lambda g, rule=rule: rule(0.0 + g * (data > 0.0))) for t, rule in rules)
+    return _make(data, *rules)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 
 
 def _basic_forward(x: Tensor, p: BasicBlockParams, training: bool) -> Tensor:
-    y = relu(p.bn1.apply(conv2d(x, p.conv1, stride=p.stride, zero_pad=1), training))
+    y = p.bn1.apply(conv2d(x, p.conv1, stride=p.stride, zero_pad=1), training, relu=True)
     y = p.bn2.apply(conv2d(y, p.conv2, zero_pad=1), training)
     return relu(add(y, shortcut(x, p.shortcut, p.bn_sc, p.stride, training)))
 
@@ -178,7 +178,7 @@ def forward_to_featuremap(images: Tensor, params: BackboneParams, training: bool
         raise DimensionError(
             f"backbone expects input [n,{cfg.input_hw[0]},{cfg.input_hw[1]},3], got {images.shape}"
         )
-    x = relu(params.stem_bn.apply(conv2d(images, params.stem, zero_pad=1), training))
+    x = params.stem_bn.apply(conv2d(images, params.stem, zero_pad=1), training, relu=True)
     for block in params.blocks:
         x = _basic_forward(x, block, training)
     return mla_block_forward(x, params.mla, training)

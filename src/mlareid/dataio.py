@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, ContractError, DataFormatError
 
 FILENAME_RE = re.compile(r"^(\d+)_c(\d+)_(\d+)\.ppm$")
 SPLITS = ("train", "query", "gallery")
@@ -39,11 +39,7 @@ _TAG_IMAGE = 3
 
 @dataclass
 class ImageRecord:
-    """One image as its PPM body, ``raw`` ([h,w,3] uint8), plus its filename's ids.
-
-    Bytes take an eighth of the float64 decode's memory. ``stack_pixels``
-    decodes a batch in one step; ``pixels`` decodes this record alone.
-    """
+    """One image as its PPM body, ``raw`` ([h,w,3] uint8, an eighth of its float64 decode), plus its ids."""
 
     raw: np.ndarray
     pid: int
@@ -53,8 +49,8 @@ class ImageRecord:
 
     @property
     def pixels(self) -> np.ndarray:
-        """[h,w,3] floats in [0,1], ``raw / 255``: the bits ``stack_pixels`` gives this record."""
-        return self.raw / 255.0
+        """[h,w,3] floats in [0,1]: ``decode(raw)``, the bits a decoded stack gives this record."""
+        return decode(self.raw)
 
 
 @dataclass
@@ -121,7 +117,7 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> np.ndarray:
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary 8-bit PPM's body as [h,w,3] uint8, undecoded (``stack_pixels`` decodes)."""
+    """Read a binary 8-bit PPM's body as [h,w,3] uint8, undecoded (``decode`` makes floats)."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -340,13 +336,20 @@ def load_dataset(root: str | Path) -> list[ImageRecord]:
 
 
 def stack_pixels(records: list[ImageRecord]) -> np.ndarray:
-    """Pixels only, [n,h,w,3] floats in [0,1]; the training path never sees pid or camid.
-
-    The one decode of a batch: the records' bytes are stacked, then divided
-    by 255 elementwise, the same bits as stacking each record's ``pixels``.
-    """
+    """Pixels only, [n,h,w,3] uint8 file bytes to ``decode`` a chunk at a time; no pid or camid."""
     for rec in records:
         if rec.raw.shape != records[0].raw.shape:
             raise DataFormatError(f"{rec.path} has shape {rec.raw.shape}, "
                                   f"but {records[0].path} has {records[0].raw.shape}")
-    return np.stack([rec.raw for rec in records]) / 255.0
+    return np.stack([rec.raw for rec in records])
+
+
+def decode(raw: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+    """Floats in [0,1] from uint8 pixels, the one decode; a chunk gets a whole stack's bits.
+
+    Given a float64 ``buffer`` with room for ``raw``, its leading rows receive them. Other
+    dtypes are refused: a float stack would be divided by 255 a second time.
+    """
+    if raw.dtype != np.uint8:
+        raise ContractError(f"decode expects uint8 pixels, got {raw.dtype}")
+    return np.divide(raw, 255.0, out=None if buffer is None else buffer[:len(raw)])

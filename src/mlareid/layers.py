@@ -36,8 +36,9 @@ class BnParams:
     running_mean: np.ndarray
     running_var: np.ndarray
 
-    def apply(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training)
+    def apply(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        """Batch norm of ``x``, or with ``relu`` its rectification as the same single tape node."""
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training, relu)
 
 
 def init_bn(channels: int, name: str) -> BnParams:

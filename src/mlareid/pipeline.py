@@ -40,7 +40,7 @@ from .clustering import (
     PseudoLabels, cluster_members, cluster_summary, dbscan, pairwise_cosine_distance,
 )
 from .contrast import MemoryDictionary, batch_hard_update, cluster_nce_loss, init_memory
-from .dataio import load_dataset, stack_pixels
+from .dataio import decode, load_dataset, stack_pixels
 from .errors import ConfigError, ContractError, DataFormatError
 from .layers import parameters, state_entries
 
@@ -238,13 +238,16 @@ class RunState:
     cfg: TrainConfig
     backbone: BackboneParams
     optim: AdamState
-    pixels: np.ndarray  # train-split images [n,h,w,3]
+    pixels: np.ndarray  # train-split images [n,h,w,3] uint8, decoded a chunk or batch at a time
     iteration: int = 0  # completed clustering iterations
     memory: MemoryDictionary | None = None
-    data: str = field(init=False)  # sha256 of the pixels' float64 bytes, checked on resume
+    data: str = field(init=False)  # sha256 of the pixels' float64 decode, checked on resume
 
-    def __post_init__(self):
-        self.data = hashlib.sha256(np.ascontiguousarray(self.pixels, dtype=np.float64)).hexdigest()
+    def __post_init__(self):  # image by image, the digest of the whole decode, as when runs held floats
+        digest = hashlib.sha256()
+        for image in self.pixels:
+            digest.update(decode(image))
+        self.data = digest.hexdigest()
 
 
 def _derived_seed(*keys: int) -> int:
@@ -252,19 +255,22 @@ def _derived_seed(*keys: int) -> int:
 
 
 def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarray:
-    """Eval-mode features in input order, computed on every usable core.
+    """Eval-mode features of uint8 ``pixels`` in input order, computed on every usable core.
 
     The calling thread (so its heap arena, which training reuses, serves too: desk peak RSS
     116-122 MiB against 130-133 MiB for a pool.map over all chunks) and one pool thread per
-    other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count.
+    other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count. Each stream decodes
+    its chunks into one buffer, free again once a forward returns: a fresh array per chunk cost
+    gallery-embed 3.7 % of its rate (5 pairs, BENCH_21.json) and 36.6k minor page faults a pass, not 2.5k.
     """
     starts = range(0, pixels.shape[0], FEATURE_CHUNK)
     streams = max(1, min(usable_cores(), len(starts)))
 
     def run_stream(first: int) -> list[np.ndarray]:
+        floats = np.empty(pixels[:FEATURE_CHUNK].shape)
         with no_grad():  # per thread
-            return [extract_features(Tensor(pixels[s:s + FEATURE_CHUNK]), params, training=False).data
-                    for s in starts[first::streams]]
+            chunks = (decode(pixels[s:s + FEATURE_CHUNK], floats) for s in starts[first::streams])
+            return [extract_features(Tensor(chunk), params, training=False).data for chunk in chunks]
     with ThreadPoolExecutor(max(streams - 1, 1)) as pool:
         others = pool.map(run_stream, range(1, streams))
         outs = [run_stream(0), *others]  # reads every pool result, re-raising its error
@@ -272,7 +278,7 @@ def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarr
 
 
 def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:
-    """Settle batch-norm running stats as ``passes`` train-mode passes over the pixels would.
+    """Settle batch-norm running stats as ``passes`` train-mode passes over uint8 ``pixels`` would.
 
     A train-mode forward normalizes by its batch's statistics alone and draws
     no randomness, and the WARMUP_CHUNK chunks are fixed, so every pass folds
@@ -295,7 +301,7 @@ def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:
         for start in range(0, pixels.shape[0], WARMUP_CHUNK):
             for stat in stats:
                 stat.fill(-0.0)
-            extract_features(Tensor(pixels[start:start + WARMUP_CHUNK]), params, training=True)
+            extract_features(Tensor(decode(pixels[start:start + WARMUP_CHUNK])), params, training=True)
             increments.append([stat.copy() for stat in stats])
     for stat, value in zip(stats, saved):
         stat[...] = value
@@ -306,7 +312,7 @@ def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:
 
 
 def _augment_batch(pixels: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:
-    """Seeded horizontal flip plus crop-from-padding, per image."""
+    """Seeded horizontal flip plus crop-from-padding, per image: values only move, in any dtype."""
     out = np.empty_like(pixels)
     h, w = pixels.shape[1:3]
     for i, img in enumerate(pixels):
@@ -371,7 +377,7 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
                 if cfg.augment:
                     batch_pixels = _augment_batch(batch_pixels, aug_rng)
                 targets = labels.labels[batch_idx]
-                feats = extract_features(Tensor(batch_pixels), state.backbone, training=True)
+                feats = extract_features(Tensor(decode(batch_pixels)), state.backbone, training=True)
                 loss = cluster_nce_loss(feats, targets, memory)
                 if not np.isfinite(loss.item()):
                     what = f"non-finite loss {loss.item()} at iteration {iteration}"

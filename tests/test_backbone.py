@@ -192,7 +192,9 @@ class TestTapeMemory:
         Default config, mode all, 16 images of 64x32 against a fixed memory:
         a tape that also kept padded conv inputs, batch norm's centered
         input or every activation until backward returned read 77 MiB live
-        after the forward and 79 MiB at backward's peak.
+        after the forward and 79 MiB at backward's peak; one that kept the
+        batch-norm outputs only a following ReLU read (no fused node) read
+        44.1 and 45.4 MiB.
         """
         cfg = BackboneConfig()
         params = build_backbone(cfg, 0)
@@ -212,8 +214,8 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert all(p.grad is not None for p in parameters(params))
-        assert live <= 50 * mib, live / mib
-        assert peak <= 50 * mib, peak / mib
+        assert live <= 40 * mib, live / mib
+        assert peak <= 44 * mib, peak / mib
 
 
 class TestEntries:

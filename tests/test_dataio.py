@@ -10,6 +10,7 @@ from mlareid.dataio import (
     FILENAME_RE,
     SynthSpec,
     bilinear_upsample,
+    decode,
     figure_mask,
     load_dataset,
     read_ppm,
@@ -18,7 +19,7 @@ from mlareid.dataio import (
     synth_generate,
     write_ppm,
 )
-from mlareid.errors import ConfigError, DataFormatError
+from mlareid.errors import ConfigError, ContractError, DataFormatError
 
 
 def small_spec(**overrides):
@@ -260,7 +261,7 @@ class TestLoadDataset:
 
 
 class TestRecordBytes:
-    """Records hold the files' 8-bit bytes; ``stack_pixels`` is the one decode."""
+    """Records and stacks hold the files' 8-bit bytes; ``decode`` is the one float conversion."""
 
     def test_stack_pixels_is_the_bytes_over_255(self, tmp_path):
         """Bit for bit, on synth and on loaded records, with pixels at 0 and 255."""
@@ -269,10 +270,21 @@ class TestRecordBytes:
         for records in (written, load_dataset(tmp_path)):
             raw = np.stack([r.raw for r in records])
             assert raw.dtype == np.uint8 and (raw == 0).any() and (raw == 255).any()
-            stacked = stack_pixels(records)
+            assert stack_pixels(records).tobytes() == raw.tobytes()
+            stacked = decode(stack_pixels(records))
             assert stacked.dtype == np.float64
             assert stacked.tobytes() == np.stack([r.raw / 255.0 for r in records]).tobytes()
             assert stacked.tobytes() == np.stack([r.pixels for r in records]).tobytes()
+            assert decode(raw[3:7]).tobytes() == stacked[3:7].tobytes()
+            buffer = np.full((8, *raw.shape[1:]), np.nan)
+            assert decode(raw[3:7], buffer).tobytes() == stacked[3:7].tobytes()
+            assert buffer[:4].tobytes() == stacked[3:7].tobytes() and np.isnan(buffer[4:]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_decode_refuses_all_but_bytes_naming_the_dtype(self, dtype):
+        """A float stack would otherwise be divided by 255 a second time."""
+        with pytest.raises(ContractError, match=np.dtype(dtype).name):
+            decode(np.ones((2, 4, 4, 3), dtype=dtype))
 
     def test_records_hold_under_two_bytes_per_channel(self, tmp_path):
         """Synth's and load_dataset's records hold under 2 n*h*w*3 bytes; float64 would hold 8."""

@@ -299,7 +299,7 @@ class TestGradCam:
         own = extract_all_features(stack_pixels(records), params)
         mem = MemoryDictionary(own[::-1].copy(), tau=0.05, mu=0.1)
         for i, record in enumerate(records):
-            feature = extract_all_features(record.pixels[None, ...], params)[0]
+            feature = extract_all_features(record.raw[None, ...], params)[0]
             nearest = int(np.argmax(mem.centroids @ feature))
             assert nearest == len(records) - 1 - i
             hm = grad_cam_heatmap(record, params, mem)

@@ -1,7 +1,10 @@
 """Training-loop tests: sampler contracts, LR schedule, Adam, resume, extraction."""
 
+import gc
+import hashlib
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +13,14 @@ import pytest
 from mlareid.backbone import BackboneConfig, named_entries
 from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.clustering import PseudoLabels
-from mlareid.dataio import SynthSpec, synth_generate
+from mlareid.dataio import ImageRecord, SynthSpec, decode, stack_pixels, synth_generate
 from mlareid.errors import ConfigError, ContractError, DataFormatError
 from mlareid.attention import MODES
 from mlareid.autodiff import Parameter, Tensor
 from mlareid.pipeline import (
     REPORT_HEADER,
     AdamState,
+    RunState,
     TrainConfig,
     _augment_batch,
     adam_step,
@@ -44,6 +48,11 @@ def tiny_backbone(mode: str) -> BackboneConfig:
         attention_mode=mode,
         heads=2,
     )
+
+
+def random_bytes(rng, shape):
+    """Random uint8 pixels, as ``stack_pixels`` gives them."""
+    return rng.integers(0, 256, size=shape, dtype=np.uint8)
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +522,30 @@ class TestRunTraining:
             run_training(replace(cfg, clustering_iterations=2), data, tmp_path / "r2",
                          resume_from=tmp_path / "old.bin")
 
+    def test_a_run_holds_the_split_as_bytes(self, tiny_dataset, tmp_path, monkeypatch):
+        import mlareid.pipeline
+
+        held = []
+        real_save = mlareid.pipeline.save_run_checkpoint
+
+        def save(path, state):
+            held.append(state.pixels.dtype)
+            real_save(path, state)
+
+        monkeypatch.setattr(mlareid.pipeline, "save_run_checkpoint", save)
+        data, eps = tiny_dataset
+        run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        assert held == [np.uint8]
+
+    def test_data_digest_is_that_of_the_whole_float64_decode(self):
+        """Fed image by image, the digest is the whole decode's, so older checkpoints still resume."""
+        from mlareid.backbone import build_backbone
+
+        pixels = random_bytes(np.random.default_rng(5), (37, 16, 16, 3))
+        state = RunState(cfg=TrainConfig(), backbone=build_backbone(tiny_backbone("all"), 0),
+                         optim=AdamState(), pixels=pixels)
+        assert state.data == hashlib.sha256((pixels / 255.0).tobytes()).hexdigest()
+
     def test_interrupted_run_resumes_in_place_like_a_straight_run(
         self, tiny_dataset, tmp_path, monkeypatch
     ):
@@ -566,6 +599,13 @@ class TestAugmentBatch:
         again = _augment_batch(pixels, np.random.default_rng(1), pad=pad)
         assert again.tobytes() == out.tobytes()
 
+    def test_augmenting_bytes_then_decoding_gives_the_floats_of_the_reverse(self):
+        """The train loop augments the uint8 batch, then decodes it: the floats are the same."""
+        raw = random_bytes(np.random.default_rng(2), (12, 6, 5, 3))
+        got = decode(_augment_batch(raw, np.random.default_rng(3)))
+        want = _augment_batch(decode(raw), np.random.default_rng(3))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
 
 class TestTapeFreeExtraction:
     @pytest.mark.parametrize("mode", MODES)
@@ -575,19 +615,20 @@ class TestTapeFreeExtraction:
         from mlareid.pipeline import FEATURE_CHUNK, bn_warmup, extract_all_features
 
         rng = np.random.default_rng(MODES.index(mode))
-        pixels = rng.uniform(0.0, 1.0, size=(FEATURE_CHUNK + 3, 16, 16, 3))
+        pixels = random_bytes(rng, (FEATURE_CHUNK + 3, 16, 16, 3))
         params = build_backbone(tiny_backbone(mode), 1)
         bn_warmup(params, pixels, 1)
         taped = []
         for start in range(0, pixels.shape[0], FEATURE_CHUNK):
-            out = extract_features(Tensor(pixels[start:start + FEATURE_CHUNK]), params, training=False)
+            chunk = decode(pixels[start:start + FEATURE_CHUNK])
+            out = extract_features(Tensor(chunk), params, training=False)
             assert out.requires_grad
             taped.append(out.data)
         assert extract_all_features(pixels, params).tobytes() == np.concatenate(taped).tobytes()
 
 
 def warmup_oracle(params, pixels, passes):
-    """The plain warmup loop: ``passes`` tape-free train-mode passes over fixed chunks."""
+    """The plain warmup loop: ``passes`` tape-free train-mode passes over fixed decoded chunks."""
     from mlareid.autodiff import no_grad
     from mlareid.backbone import extract_features
     from mlareid.pipeline import WARMUP_CHUNK
@@ -595,7 +636,7 @@ def warmup_oracle(params, pixels, passes):
     with no_grad():
         for _ in range(passes):
             for start in range(0, pixels.shape[0], WARMUP_CHUNK):
-                extract_features(Tensor(pixels[start:start + WARMUP_CHUNK]), params, training=True)
+                extract_features(Tensor(decode(pixels[start:start + WARMUP_CHUNK])), params, training=True)
 
 
 class TestBnWarmup:
@@ -616,9 +657,9 @@ class TestBnWarmup:
         rng = np.random.default_rng(MODES.index(mode))
         for n in (8, 33, 40):
             pixels = {
-                "random": rng.uniform(0.0, 1.0, size=(n, 16, 16, 3)),
-                "zeros": np.zeros((n, 16, 16, 3)),
-                "constant": np.full((n, 16, 16, 3), 0.37),
+                "random": random_bytes(rng, (n, 16, 16, 3)),
+                "zeros": np.zeros((n, 16, 16, 3), dtype=np.uint8),
+                "constant": np.full((n, 16, 16, 3), 94, dtype=np.uint8),
             }[images]
             for passes in (0, 1, 2, 5):
                 want = build_backbone(tiny_backbone(mode), 3)
@@ -633,6 +674,14 @@ class TestBnWarmup:
                     assert after[name].tobytes() == value.tobytes(), (n, passes, name)
                 assert [p.data.tobytes() for p in parameters(got)] == param_bytes
                 assert all(p.grad is None for p in parameters(got))
+
+    def test_a_float_stack_is_refused_naming_its_dtype(self):
+        from mlareid.backbone import build_backbone
+        from mlareid.pipeline import bn_warmup
+
+        params = build_backbone(tiny_backbone("all"), 3)
+        with pytest.raises(ContractError, match="float64"):
+            bn_warmup(params, decode(random_bytes(np.random.default_rng(0), (8, 16, 16, 3))), 1)
 
 
 def pin_cores(monkeypatch, n):
@@ -670,9 +719,9 @@ class TestParallelExtraction:
         from mlareid.pipeline import bn_warmup
 
         rng = np.random.default_rng(seed)
-        pixels = rng.uniform(0.0, 1.0, size=(n, 16, 16, 3))
+        pixels = random_bytes(rng, (n, 16, 16, 3))
         params = build_backbone(tiny_backbone(mode), seed)
-        bn_warmup(params, rng.uniform(0.0, 1.0, size=(8, 16, 16, 3)), 1)
+        bn_warmup(params, random_bytes(rng, (8, 16, 16, 3)), 1)
         return pixels, params
 
     @staticmethod
@@ -683,7 +732,7 @@ class TestParallelExtraction:
 
         with no_grad():
             return np.concatenate([
-                extract_features(Tensor(pixels[s:s + FEATURE_CHUNK]), params, training=False).data
+                extract_features(Tensor(decode(pixels[s:s + FEATURE_CHUNK])), params, training=False).data
                 for s in range(0, pixels.shape[0], FEATURE_CHUNK)
             ])
 
@@ -712,6 +761,47 @@ class TestParallelExtraction:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_float_stack_is_refused_naming_its_dtype(self):
+        from mlareid.pipeline import extract_all_features
+
+        pixels, params = self.warmed("all", 17, 6)
+        with pytest.raises(ContractError, match="float64"):
+            extract_all_features(decode(pixels), params)
+
+    def test_peak_memory_grows_by_the_added_file_bytes_not_their_decode(self, monkeypatch):
+        """From n to 4n images, the traced peak of extract_all_features(stack_pixels(records))
+        grows by at most 1.1x the added images' file bytes plus their feature rows.
+
+        A whole-stack float64 decode would add 8x the file bytes. One core keeps the chunk
+        working set the same at both sizes. The images are large so that their bytes, not the
+        few KiB of interpreter blocks each chunk leaves traced, make up the growth.
+        """
+        from mlareid.backbone import build_backbone
+        from mlareid.pipeline import FEATURE_CHUNK, extract_all_features
+
+        n = FEATURE_CHUNK
+        rng = np.random.default_rng(8)
+        pixels = random_bytes(rng, (4 * n, 128, 64, 3))
+        params = build_backbone(replace(tiny_backbone("all"), input_hw=(128, 64)), 8)
+        records = [ImageRecord(raw=img, pid=0, camid=1, split="query", path=f"query/{i}.ppm")
+                   for i, img in enumerate(pixels)]
+        pin_cores(monkeypatch, 1)
+
+        def traced_peak(count):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                extract_all_features(stack_pixels(records[:count]), params)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(n)  # first-call caches are not the images'
+        added = 3 * n * (pixels[0].nbytes + params.cfg.embed_dim * 8)
+        growth = traced_peak(4 * n) - traced_peak(n)
+        assert growth <= 1.1 * added, growth / added
+
     @pytest.mark.parametrize("failing", [0, 1, 3])
     def test_a_failing_chunk_raises_and_leaves_no_thread(self, monkeypatch, failing):
         """Of five chunks on four streams, 0 runs on the calling thread, 1 and 3 on pool threads."""
@@ -720,7 +810,7 @@ class TestParallelExtraction:
         from mlareid.pipeline import FEATURE_CHUNK
 
         pixels, params = self.warmed("baseline", 5 * FEATURE_CHUNK, 3)
-        bad_first_pixel = pixels[failing * FEATURE_CHUNK].tobytes()
+        bad_first_pixel = decode(pixels[failing * FEATURE_CHUNK]).tobytes()
 
         def extract_or_fail(batch, *args, **kwargs):
             if batch.data[0].tobytes() == bad_first_pixel:

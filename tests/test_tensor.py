@@ -455,6 +455,32 @@ class TestBatchNorm:
         assert len(got) == (6 if affine_grad else 4)
         assert got == want
 
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 3, 2, 3), (16, 8, 4, 32)])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_fused_relu_node_is_bit_equal_to_relu_of_batch_norm(self, training, shape):
+        """Output, running stats and the x/gamma/beta gradients equal relu(batch_norm(...)) bit for bit.
+
+        The ReLU zeroes all of channel 0 (its beta is -1e3), where every gradient batch norm's
+        rules see is then a zero.
+        """
+        rng = np.random.default_rng(29)
+        c = shape[-1]
+        w = Tensor(rng.standard_normal(shape))
+        x0, g0, b0 = rng.standard_normal(shape) * 3.0 + 1.0, rng.standard_normal(c), rng.standard_normal(c)
+        b0[0] = -1e3
+        mean0, var0 = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+
+        def run(f):
+            mean, var = mean0.copy(), var0.copy()
+            x, g, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, g0, b0))
+            out = f(x, g, b, mean, var)
+            (out * w).sum().backward()
+            return [a.tobytes() for a in (out.data, mean, var, x.grad, g.grad, b.grad)]
+
+        want = run(lambda *args: ad.relu(batch_norm(*args, training=training)))
+        got = run(lambda *args: batch_norm(*args, training=training, relu=True))
+        assert got == want
+
 
 class TestNoGrad:
     def test_outputs_carry_no_tape(self):
