@@ -510,9 +510,11 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     node that repeats, in the same order, the arithmetic of the elementwise
     ops it replaces (mean, sub, mul, sqrt, div, add), so values and
     gradients are bit-equal to that composed chain without its temporaries.
-    The running update is state mutation outside the tape. Training mode
-    normalizes in place and keeps only ``m``, ``s`` and ``inv`` beside the
-    input; its input and gamma rules recompute ``x.data - m``.
+    The running update is state mutation outside the tape. Both modes
+    normalize in place by ``m`` and ``inv`` and share the gamma and beta
+    rules; only the input rule differs, as batch statistics depend on ``x``.
+    The node keeps only ``m``, ``s`` and ``inv`` beside the input; the rules
+    that read ``x.data - m`` recompute it.
     With ``relu`` it rectifies in place and each rule first masks ``g`` as ``relu(batch_norm(...))``
     does: the same bits, with no pre-ReLU output on the tape (In-Place ABN's trade).
     """
@@ -524,50 +526,46 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         )
     bshape = (1,) * (x.ndim - 1) + (c,)
     gam = gamma.data.reshape(bshape)
-    if not training:
-        rm = running_mean.reshape(bshape)
-        scale = 1.0 / np.sqrt(running_var.reshape(bshape) + NORM_EPS)
-        data = x.data - rm
-        data *= scale
-        data *= gam
-        data += beta.data.reshape(bshape)
-        rules = ((x, lambda g: (g * gam) * scale), (gamma, lambda g: g * ((x.data - rm) * scale)),
-                 (beta, lambda g: g))
-    else:
-        axes = tuple(range(x.ndim - 1))
-        count = x.size // c
-        m = x.data.mean(axis=axes, keepdims=True)
-        data = x.data - m  # centered, normalized in place below
+    axes = tuple(range(x.ndim - 1))
+    m = x.data.mean(axis=axes, keepdims=True) if training else running_mean.reshape(bshape)
+    data = x.data - m  # centered, normalized in place below
+    if training:
         v = (data * data).mean(axis=axes, keepdims=True)
         for stat, batch in ((running_mean, m), (running_var, v)):
             fold_running(stat, BN_MOMENTUM * batch.reshape(c))
-        s = np.sqrt(v + NORM_EPS)
-        inv = 1.0 / s
-        data *= inv
-        data *= gam
-        data += beta.data.reshape(bshape)
+    else:
+        v = running_var.reshape(bshape)
+    s = np.sqrt(v + NORM_EPS)
+    inv = 1.0 / s
+    data *= inv
+    data *= gam
+    data += beta.data.reshape(bshape)
 
-        def input_rule(g):
-            # The composed chain's backward, in tape order: through the scale
-            # 1/sqrt(v + eps), through both factors of centered*centered, then
-            # through the mean subtracted from x (negation and division are
-            # sign-symmetric, so subtracting the sum is adding that of -gx).
-            centered = x.data - m
-            gx = g * gam
-            g_inv = _unbroadcast(gx * centered, bshape)
-            g_s = -g_inv / (s * s)
-            g_v = g_s * 0.5 / s
+    def input_rule(g):
+        gx = g * gam
+        if not training:  # running statistics are constants
             gx *= inv
-            centered *= g_v / count
-            gx += centered
-            gx += centered
-            gx -= _unbroadcast(gx, bshape) / count
             return gx
+        # The composed chain's backward, in tape order: through the scale
+        # 1/sqrt(v + eps), through both factors of centered*centered, then
+        # through the mean subtracted from x (negation and division are
+        # sign-symmetric, so subtracting the sum is adding that of -gx).
+        centered = x.data - m
+        count = x.size // c
+        g_inv = _unbroadcast(gx * centered, bshape)
+        g_s = -g_inv / (s * s)
+        g_v = g_s * 0.5 / s
+        gx *= inv
+        centered *= g_v / count
+        gx += centered
+        gx += centered
+        gx -= _unbroadcast(gx, bshape) / count
+        return gx
 
-        rules = ((x, input_rule), (gamma, lambda g: g * ((x.data - m) * inv)), (beta, lambda g: g))
-    if relu:  # 0.0 + turns -0.0 into 0.0 as the gradient sum into the unfused node's grad does
+    rules = ((x, input_rule), (gamma, lambda g: g * ((x.data - m) * inv)), (beta, lambda g: g))
+    if relu:
         np.maximum(data, 0.0, out=data)
-        rules = tuple((t, lambda g, rule=rule: rule(0.0 + g * (data > 0.0))) for t, rule in rules)
+        rules = tuple((t, lambda g, rule=rule: rule(g * (data > 0.0))) for t, rule in rules)
     return _make(data, *rules)
 
 

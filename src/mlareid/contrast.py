@@ -20,34 +20,30 @@ from .autodiff import NORM_EPS, Tensor, add, exp, log, matmul, sub, tmean, tsum
 from .errors import ContractError
 from .clustering import PseudoLabels, cluster_members
 
+TAU, MU = 0.05, 0.1  # a run's temperature and memory momentum: Cluster Contrast's, fixed
+
 
 @dataclass
 class MemoryDictionary:
     centroids: np.ndarray  # [k, d], unit-norm rows
-    tau: float
-    mu: float
+    tau: float = TAU
+    mu: float = MU
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
 
 
-def init_memory(
-    features, labels: PseudoLabels, seed: int, tau: float = 0.05, mu: float = 0.1
-) -> MemoryDictionary:
+def init_memory(features, labels: PseudoLabels, seed: int) -> MemoryDictionary:
     """One uniformly chosen member feature per cluster, in cluster-id order."""
     f = np.asarray(features, dtype=np.float64)
     if labels.k == 0:
         raise ContractError("init_memory: clustering produced no clusters")
-    if tau <= 0:
-        raise ContractError(f"tau must be positive, got {tau}")
-    if not 0.0 <= mu <= 1.0:
-        raise ContractError(f"mu must lie in [0,1], got {mu}")
     rng = np.random.default_rng(seed)
     centroids = np.zeros((labels.k, f.shape[1]))
     for cid, members in enumerate(cluster_members(labels)):
         centroids[cid] = f[members[rng.integers(members.size)]]
-    return MemoryDictionary(centroids=centroids, tau=tau, mu=mu)
+    return MemoryDictionary(centroids)
 
 
 def cluster_nce_loss(x: Tensor, targets, mem: MemoryDictionary) -> Tensor:

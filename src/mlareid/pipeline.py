@@ -10,7 +10,7 @@ boundary replays the remaining iterations bit-for-bit. ``run_training``
 writes ``checkpoint.bin`` after every iteration: parameters, running stats,
 Adam state, the last memory centroids, the iteration count, the run's
 config as ``config_lines`` text (``meta.backbone``, ``meta.train``) and the
-sha256 of the train-split pixels (``meta.data``). A resume refuses other
+sha256 of the train split's bytes (``meta.data``). A resume refuses other
 training images and any config change but a larger ``clustering_iterations``.
 """
 
@@ -54,6 +54,7 @@ _TAG_SAMPLER = 2
 _TAG_AUGMENT = 3
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_DECAY, LR_DECAY_EVERY = 0.1, 20  # Cluster Contrast's step schedule, fixed
 
 
 @dataclass
@@ -63,12 +64,8 @@ class TrainConfig:
     batch_p: int = 4
     batch_k: int = 4
     lr0: float = 1.6e-4
-    lr_decay: float = 0.1
-    lr_decay_every: int = 20
     eps: float = 0.4
     min_pts: int = 4
-    tau: float = 0.05
-    mu: float = 0.1
     seed: int = 0
     attention_mode: str = "all"
     augment: bool = False
@@ -84,12 +81,10 @@ class TrainConfig:
             raise ConfigError("bn_warmup_passes and seed must be non-negative")
         if min(self.batch_p, self.batch_k) < 1 or self.batch_p * self.batch_k <= 1:
             raise ConfigError("batch P and K must be at least 1 and P*K must exceed 1")
-        if min(self.lr0, self.lr_decay, self.eps, self.tau) <= 0:
-            raise ConfigError("lr0, lr_decay, eps and tau must be positive")
-        if self.lr_decay_every < 1 or self.min_pts < 1:
-            raise ConfigError("lr_decay_every and min_pts must be at least 1")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ConfigError(f"mu must lie in [0,1], got {self.mu}")
+        if min(self.lr0, self.eps) <= 0:
+            raise ConfigError("lr0 and eps must be positive")
+        if self.min_pts < 1:
+            raise ConfigError("min_pts must be at least 1")
         if self.attention_mode not in MODES:
             raise ConfigError(
                 f"unknown attention mode {self.attention_mode!r}, expected one of {MODES}"
@@ -168,10 +163,10 @@ class EpochReport:
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """Step schedule: lr0 scaled by lr_decay once per lr_decay_every epochs."""
+    """Step schedule: lr0 scaled by LR_DECAY once per LR_DECAY_EVERY epochs."""
     if epoch < 0:
         raise ContractError(f"epoch must be non-negative, got {epoch}")
-    return cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
+    return cfg.lr0 * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 def pk_sampler(labels: PseudoLabels, p: int, k_img: int, seed: int) -> list[np.ndarray]:
@@ -241,13 +236,10 @@ class RunState:
     pixels: np.ndarray  # train-split images [n,h,w,3] uint8, decoded a chunk or batch at a time
     iteration: int = 0  # completed clustering iterations
     memory: MemoryDictionary | None = None
-    data: str = field(init=False)  # sha256 of the pixels' float64 decode, checked on resume
+    data: str = field(init=False)  # sha256 of the pixels' bytes, checked on resume
 
-    def __post_init__(self):  # image by image, the digest of the whole decode, as when runs held floats
-        digest = hashlib.sha256()
-        for image in self.pixels:
-            digest.update(decode(image))
-        self.data = digest.hexdigest()
+    def __post_init__(self):
+        self.data = hashlib.sha256(np.ascontiguousarray(self.pixels)).hexdigest()
 
 
 def _derived_seed(*keys: int) -> int:
@@ -358,10 +350,7 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
     losses: list[float] = []
 
     if not skipped:
-        memory = init_memory(
-            features, labels, _derived_seed(cfg.seed, iteration, _TAG_MEMORY),
-            tau=cfg.tau, mu=cfg.mu,
-        )
+        memory = init_memory(features, labels, _derived_seed(cfg.seed, iteration, _TAG_MEMORY))
         params = parameters(state.backbone)
         for sub_epoch in range(cfg.epochs_per_iteration):
             lr = lr_at(epoch + sub_epoch, cfg)
@@ -462,7 +451,7 @@ def _load_trained(
     )
     load_named_entries(backbone, entries)
     centroids = entries.get("memory.centroids")
-    memory = None if centroids is None else MemoryDictionary(centroids, tau=train_cfg.tau, mu=train_cfg.mu)
+    memory = None if centroids is None else MemoryDictionary(centroids)
     return train_cfg, backbone, memory, entries
 
 

@@ -194,7 +194,9 @@ class TestTapeMemory:
         input or every activation until backward returned read 77 MiB live
         after the forward and 79 MiB at backward's peak; one that kept the
         batch-norm outputs only a following ReLU read (no fused node) read
-        44.1 and 45.4 MiB.
+        44.1 and 45.4 MiB. Fused nodes read 36.6 MiB live; backward's peak
+        reads 37.4-38.0 or 41.1 MiB, as the second core's parameter-gradient
+        rules happen to overlap the input rules (60 runs, both modes often).
         """
         cfg = BackboneConfig()
         params = build_backbone(cfg, 0)
@@ -215,7 +217,7 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert all(p.grad is not None for p in parameters(params))
         assert live <= 40 * mib, live / mib
-        assert peak <= 44 * mib, peak / mib
+        assert peak <= 42 * mib, peak / mib
 
 
 class TestEntries:

@@ -126,14 +126,14 @@ class TestTrain:
 
     def test_config_file_plus_flag_override(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("clustering_iterations = 0\ntau = 0.2\nattention_mode = hla\n")
+        cfg.write_text("clustering_iterations = 0\nlr0 = 0.2\nattention_mode = hla\n")
         code = main([
             "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
             "--config", str(cfg), "--mode", "pla",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "tau = 0.2" in out  # from file
+        assert "lr0 = 0.2" in out  # from file
         assert "attention_mode = pla" in out  # flag wins
 
     def test_unknown_config_key_exits_one(self, workspace, tmp_path, capsys):
@@ -227,6 +227,24 @@ class TestTrain:
         ]) == code
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_checkpoint_with_a_removed_key_is_refused_naming_it(self, workspace, tmp_path, command, capsys):
+        """A meta.train that still sets tau, now a constant, stops a resume and an eval alike."""
+        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        text = entries["meta.train"].astype(np.uint8).tobytes() + b"\ntau = 0.05"
+        entries["meta.train"] = np.frombuffer(text, np.uint8).astype(np.float64)
+        old, out = tmp_path / "old.bin", tmp_path / "fresh"
+        save_checkpoint(old, entries)
+        if command == "train":
+            argv = ["train", "--data", str(workspace / "data"), "--out", str(out),
+                    "--iterations", "2", *RUN_FLAGS, "--resume", str(old)]
+        else:
+            argv = ["eval", "--data", str(workspace / "data"), "--checkpoint", str(old), "--out", str(out)]
+        assert main(argv) == 1
+        line = len(text.splitlines())  # the appended one
+        assert f"checkpoint {old} meta.train line {line}: unknown key 'tau'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["pipeline.iteration", "optim.t"])
     def test_resume_without_a_count_exits_two_naming_it(self, workspace, tmp_path, entry, capsys):
         entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
@@ -243,8 +261,7 @@ class TestTrain:
         assert subcommand_flags("train") == {
             "--data", "--out", "--config", "--resume",
             "--mode", "--seed", "--iterations", "--epochs-per-iteration", "--batch-p",
-            "--batch-k", "--lr0", "--lr-decay", "--lr-decay-every", "--eps", "--min-pts",
-            "--tau", "--mu", "--augment", "--bn-warmup-passes",
+            "--batch-k", "--lr0", "--eps", "--min-pts", "--augment", "--bn-warmup-passes",
         }
 
     def test_outputs_under_run_dir(self, workspace):

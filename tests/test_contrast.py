@@ -1,11 +1,13 @@
 """Memory dictionary lifecycle and the cluster contrastive loss."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from mlareid.autodiff import Tensor, finite_diff_check
 from mlareid.clustering import PseudoLabels
-from mlareid.contrast import MemoryDictionary, batch_hard_update, cluster_nce_loss, init_memory
+from mlareid.contrast import MU, TAU, MemoryDictionary, batch_hard_update, cluster_nce_loss, init_memory
 from mlareid.errors import ContractError
 
 
@@ -67,12 +69,11 @@ class TestInitMemory:
         with pytest.raises(ContractError, match="no clusters"):
             init_memory(np.zeros((3, 2)), PseudoLabels(np.full(3, -1), k=0), seed=0)
 
-    def test_bad_hyperparameters_rejected(self):
-        labels = PseudoLabels(np.array([0]), k=1)
-        with pytest.raises(ContractError):
-            init_memory(np.ones((1, 2)), labels, seed=0, tau=0.0)
-        with pytest.raises(ContractError):
-            init_memory(np.ones((1, 2)), labels, seed=0, mu=1.5)
+    def test_memory_has_the_fixed_temperature_and_momentum(self):
+        """Cluster Contrast's tau and mu are constants, not arguments."""
+        memory = init_memory(np.ones((1, 2)), PseudoLabels(np.array([0]), k=1), seed=0)
+        assert (memory.tau, memory.mu) == (TAU, MU) == (0.05, 0.1)
+        assert list(inspect.signature(init_memory).parameters) == ["features", "labels", "seed"]
 
 
 class TestClusterNceLoss:

@@ -177,9 +177,9 @@ class TestLrSchedule:
         assert lr_at(19, cfg) == 1.6e-4
 
     def test_closed_form_first_hundred_epochs(self):
-        cfg = TrainConfig(lr0=2.0, lr_decay=0.5, lr_decay_every=7)
+        cfg = TrainConfig(lr0=2.0)
         for epoch in range(101):
-            assert lr_at(epoch, cfg) == 2.0 * 0.5 ** (epoch // 7)
+            assert lr_at(epoch, cfg) == 2.0 * 0.1 ** (epoch // 20)
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ContractError):
@@ -271,8 +271,8 @@ class TestConfig:
     def test_invalid_combinations_rejected(self):
         for line in (
             "batch_p = 1\nbatch_k = 1", "batch_p = -2\nbatch_k = -2",
-            "tau = 0", "mu = 1.5", "attention_mode = cnn",
-            "lr0 = nan", "eps = nan", "tau = inf", "lr_decay = nan", "seed = -1",
+            "lr0 = 0", "eps = -0.5", "min_pts = 0", "attention_mode = cnn",
+            "lr0 = nan", "eps = nan", "lr0 = inf", "seed = -1",
         ):
             with pytest.raises(ConfigError):
                 apply_config_lines(TrainConfig(), line.splitlines())
@@ -487,8 +487,8 @@ class TestRunTraining:
         data, eps = tiny_dataset
         ck, _ = run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r",
                              backbone_cfg=tiny_backbone("all"))
-        changed = replace(self.desk_cfg(eps, iters=2), tau=0.2, batch_k=3)
-        with pytest.raises(ConfigError, match="tau") as raised:
+        changed = replace(self.desk_cfg(eps, iters=2), lr0=0.2, batch_k=3)
+        with pytest.raises(ConfigError, match="lr0") as raised:
             run_training(changed, data, tmp_path / "r2", resume_from=ck)
         assert "batch_k" in str(raised.value)
         assert "clustering_iterations" not in str(raised.value)
@@ -537,14 +537,14 @@ class TestRunTraining:
         run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
         assert held == [np.uint8]
 
-    def test_data_digest_is_that_of_the_whole_float64_decode(self):
-        """Fed image by image, the digest is the whole decode's, so older checkpoints still resume."""
+    def test_data_digest_is_that_of_the_split_bytes(self):
+        """The digest hashes the uint8 split a run holds, not a float decode eight times its size."""
         from mlareid.backbone import build_backbone
 
         pixels = random_bytes(np.random.default_rng(5), (37, 16, 16, 3))
         state = RunState(cfg=TrainConfig(), backbone=build_backbone(tiny_backbone("all"), 0),
                          optim=AdamState(), pixels=pixels)
-        assert state.data == hashlib.sha256((pixels / 255.0).tobytes()).hexdigest()
+        assert state.data == hashlib.sha256(pixels.tobytes()).hexdigest()
 
     def test_interrupted_run_resumes_in_place_like_a_straight_run(
         self, tiny_dataset, tmp_path, monkeypatch
