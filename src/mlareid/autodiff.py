@@ -114,22 +114,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -276,11 +264,6 @@ def div(a, b) -> Tensor:
     _broadcast_check(a, b, "div")
     return _make(a.data / b.data, (a, lambda g: g / b.data),
                  (b, lambda g: -g * a.data / (b.data * b.data)))
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(-a.data, (a, lambda g: -g))
 
 
 def exp(a) -> Tensor:

@@ -23,7 +23,7 @@ from .autodiff import (
     relu,
     tmean,
 )
-from .errors import ConfigError, DataFormatError, DimensionError
+from .errors import ConfigError, DimensionError
 from .layers import BnParams, init_bn, init_shortcut, kaiming, parameters, shortcut, state_entries
 
 
@@ -201,16 +201,3 @@ def named_entries(params: BackboneParams) -> dict[str, np.ndarray]:
     out = {p.name: p.data for p in parameters(params)}
     out.update(state_entries(params))
     return out
-
-
-def load_named_entries(params: BackboneParams, entries: dict[str, np.ndarray]) -> None:
-    """Restore parameters and running stats in place from checkpoint entries."""
-    for name, target in named_entries(params).items():
-        if name not in entries:
-            raise DataFormatError(f"checkpoint is missing entry {name!r}")
-        value = entries[name]
-        if value.shape != target.shape:
-            raise DataFormatError(
-                f"checkpoint entry {name!r} has shape {value.shape}, expected {target.shape}"
-            )
-        target[...] = value

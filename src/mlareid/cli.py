@@ -31,7 +31,7 @@ from .pipeline import (  # noqa: E402
     parse_config,
     run_training,
 )
-from .verify import run_gradient_suite  # noqa: E402
+from .verify import GRAD_TOLERANCE, run_gradient_suite  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -149,12 +149,11 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    results = run_gradient_suite(seeds=tuple(range(args.seeds)), tolerance=args.tolerance)
-    for name in dict.fromkeys(r.name for r in results):
-        checks = [r for r in results if r.name == name]
-        ok = all(r.passed for r in checks)
-        print(f"{name}: max_error={max(r.max_error for r in checks):.3e} {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CONTRACT
+    _echo("grad-check config", [f"seeds = {args.seeds}", f"tolerance = {GRAD_TOLERANCE}"])
+    errors = run_gradient_suite(seeds=tuple(range(args.seeds)))
+    for name, error in errors.items():  # a NaN error fails: it is not below the gate
+        print(f"{name}: max_error={error:.3e} {'PASS' if error < GRAD_TOLERANCE else 'FAIL'}")
+    return EXIT_OK if all(e < GRAD_TOLERANCE for e in errors.values()) else EXIT_CONTRACT
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient suite")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=_cmd_grad_check)
 
     return parser

@@ -32,7 +32,6 @@ from .backbone import (
     BackboneParams,
     build_backbone,
     extract_features,
-    load_named_entries,
     named_entries,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -449,7 +448,13 @@ def _load_trained(
     backbone = build_backbone(
         _stored_config(entries, "meta.backbone", BackboneConfig(), path), train_cfg.seed
     )
-    load_named_entries(backbone, entries)
+    for name, target in named_entries(backbone).items():
+        value = _stored(entries, name, path)
+        if value.shape != target.shape:
+            raise DataFormatError(
+                f"checkpoint {path} {name!r} has shape {value.shape}, expected {target.shape}"
+            )
+        target[...] = value
     centroids = entries.get("memory.centroids")
     memory = None if centroids is None else MemoryDictionary(centroids)
     return train_cfg, backbone, memory, entries

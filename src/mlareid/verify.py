@@ -3,12 +3,12 @@
 Each check builds a small random instance, wraps one argument as the probe
 parameter, and compares the analytic gradient against central differences.
 The same suite backs the ``grad-check`` CLI subcommand and the automated
-acceptance test, so the list of names is part of the public surface.
+acceptance test, so the list of names is part of the public surface; both
+hold every check to the one gate ``GRAD_TOLERANCE``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -30,17 +30,7 @@ from .autodiff import Parameter, Tensor, finite_diff_check
 from .contrast import MemoryDictionary, cluster_nce_loss
 from .errors import ContractError
 
-
-@dataclass
-class GradCheckResult:
-    name: str
-    seed: int
-    max_error: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tolerance
+GRAD_TOLERANCE = 1e-4  # the gate on every check's worst error; fixed, never loosened
 
 
 def _op_check(shape, make_op: Callable[[np.random.Generator], Callable[[Tensor], Tensor]]):
@@ -102,7 +92,7 @@ def _check_mla_block_params(rng: np.random.Generator) -> float:
         return (mla_block_forward(x, p, training=True) * Tensor(w)).sum()
 
     probes = (p.pla.kernel, p.hla.w_q, p.hla.r_h, p.dla.k_d, p.reduce)
-    return max(finite_diff_check(loss, probe) for probe in probes)
+    return float(np.max([finite_diff_check(loss, probe) for probe in probes]))  # keeps a NaN
 
 
 def _check_cluster_nce(rng: np.random.Generator) -> float:
@@ -134,22 +124,12 @@ _CHECKS = {
 }
 
 
-def run_gradient_suite(seeds=(0, 1, 2, 3, 4), tolerance: float = 1e-4) -> list[GradCheckResult]:
-    """Every named check at every seed; results carry the worst element error.
+def run_gradient_suite(seeds=(0, 1, 2, 3, 4)) -> dict[str, float]:
+    """Every named check's worst element error over ``seeds`` (NaN if any seed gave NaN).
 
-    No seeds, or a tolerance that is not finite and positive, would pass unchecked: both are refused.
+    No seeds would pass unchecked, so they are refused.
     """
     if not seeds:
         raise ContractError("the gradient suite needs at least one seed")
-    if not 0.0 < tolerance < np.inf:  # also false for NaN
-        raise ContractError(f"tolerance must be finite and positive, got {tolerance}")
-    results = []
-    for name, fn in _CHECKS.items():
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            results.append(
-                GradCheckResult(
-                    name=name, seed=int(seed), max_error=float(fn(rng)), tolerance=tolerance
-                )
-            )
-    return results
+    return {name: float(np.max([fn(np.random.default_rng(seed)) for seed in seeds]))
+            for name, fn in _CHECKS.items()}

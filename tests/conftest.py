@@ -1,11 +1,51 @@
-"""Test-session set-up: BLAS pinned to one thread before numpy loads.
+"""Test-session set-up and the helpers several test modules share.
 
-Feature extraction already runs one stream per usable core, and BLAS
-threads of its own on top of those oversubscribe the cores. An explicit
-setting in the environment still wins.
+BLAS is pinned to one thread before numpy loads: feature extraction
+already runs one stream per usable core, and BLAS threads of its own on
+top of those oversubscribe the cores. An explicit setting in the
+environment still wins.
 """
 
 import os
+import threading
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+from mlareid.backbone import BackboneConfig  # noqa: E402  (after the BLAS pin)
+
+
+def tiny_backbone(mode: str) -> BackboneConfig:
+    """A two-stage backbone on 16x16 images with a 4-dimensional embedding."""
+    return BackboneConfig(
+        input_hw=(16, 16),
+        stage_channels=(4, 8),
+        blocks_per_stage=(1, 1),
+        embed_dim=4,
+        attention_mode=mode,
+        heads=2,
+    )
+
+
+def pin_cores(monkeypatch, n):
+    """Make ``n`` cores look usable to ``autodiff.usable_cores``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def within(seconds, fn, *args):
+    """fn(*args) on its own thread, failing the test if it has not returned in ``seconds``."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn(*args)
+        except BaseException as exc:  # re-raised on the test's thread
+            result["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"no return within {seconds} s"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]

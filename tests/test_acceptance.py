@@ -37,7 +37,7 @@ from mlareid.contrast import MemoryDictionary, cluster_nce_loss
 from mlareid.dataio import SynthSpec, load_dataset, read_ppm, synth_generate
 from mlareid.evalviz import cam_from_gradients, evaluate, retrieval_metrics
 from mlareid.pipeline import TrainConfig, load_backbone_from_checkpoint, run_training
-from mlareid.verify import run_gradient_suite
+from mlareid.verify import GRAD_TOLERANCE, run_gradient_suite
 
 # Desk protocol: the dataset below plus these training settings. eps,
 # min_pts and lr0 are tuned for the desk scale (the library defaults are
@@ -81,11 +81,11 @@ def desk_map(data_dir: Path, checkpoint: Path) -> float:
 class TestCriterion1Gradients:
     def test_gradient_suite_five_seeds_under_a_minute(self):
         t0 = time.perf_counter()
-        results = run_gradient_suite(seeds=(0, 1, 2, 3, 4), tolerance=1e-4)
+        errors = run_gradient_suite(seeds=(0, 1, 2, 3, 4))
         elapsed = time.perf_counter() - t0
-        worst = max(r.max_error for r in results)
-        ok = all(r.passed for r in results) and elapsed < 60.0
-        report(1, ok, f"{len(results)} checks, worst rel err {worst:.2e}, {elapsed:.1f}s")
+        worst = float(np.max(list(errors.values())))  # NaN if any check gave NaN, which fails
+        ok = worst < GRAD_TOLERANCE and elapsed < 60.0
+        report(1, ok, f"{len(errors)} checks x 5 seeds, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
 class TestCriterion2ExactIdentities:

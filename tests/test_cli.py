@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from mlareid import backbone, evalviz
+from mlareid import backbone, evalviz, verify
 from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.cli import build_parser, main
 from mlareid.dataio import read_ppm, write_ppm
 from mlareid.pipeline import load_backbone_from_checkpoint
+from mlareid.verify import GRAD_TOLERANCE
 
 
 # The workspace run's train flags, apart from --data, --out and --iterations.
@@ -40,6 +41,14 @@ def workspace(tmp_path_factory):
 def subcommand_flags(name):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {s for a in sub.choices[name]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def checkpoint_argv(workspace, command, checkpoint, out):
+    """A train --resume from, or an eval of, ``checkpoint`` with output under ``out``."""
+    if command == "train":
+        return ["train", "--data", str(workspace / "data"), "--out", str(out),
+                "--iterations", "2", *RUN_FLAGS, "--resume", str(checkpoint)]
+    return ["eval", "--data", str(workspace / "data"), "--checkpoint", str(checkpoint), "--out", str(out)]
 
 
 class TestDispatch:
@@ -235,14 +244,29 @@ class TestTrain:
         entries["meta.train"] = np.frombuffer(text, np.uint8).astype(np.float64)
         old, out = tmp_path / "old.bin", tmp_path / "fresh"
         save_checkpoint(old, entries)
-        if command == "train":
-            argv = ["train", "--data", str(workspace / "data"), "--out", str(out),
-                    "--iterations", "2", *RUN_FLAGS, "--resume", str(old)]
-        else:
-            argv = ["eval", "--data", str(workspace / "data"), "--checkpoint", str(old), "--out", str(out)]
-        assert main(argv) == 1
+        assert main(checkpoint_argv(workspace, command, old, out)) == 1
         line = len(text.splitlines())  # the appended one
         assert f"checkpoint {old} meta.train line {line}: unknown key 'tau'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("defect", ["missing", "reshaped"])
+    def test_a_checkpoint_without_a_fitting_entry_exits_two_naming_it(
+        self, workspace, tmp_path, defect, command, capsys
+    ):
+        """A lacking or misshapen backbone entry stops a resume and an eval alike, naming the file."""
+        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        want = entries.pop("backbone.stem").shape
+        if defect == "reshaped":
+            entries["backbone.stem"] = np.zeros((1, 1, 3, 4))
+        old, out = tmp_path / "old.bin", tmp_path / "fresh"
+        save_checkpoint(old, entries)
+        assert main(checkpoint_argv(workspace, command, old, out)) == 2
+        err = capsys.readouterr().err
+        if defect == "missing":
+            assert f"checkpoint {old} lacks 'backbone.stem'" in err
+        else:
+            assert f"checkpoint {old} 'backbone.stem' has shape (1, 1, 3, 4), expected {want}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["pipeline.iteration", "optim.t"])
@@ -410,14 +434,32 @@ class TestGradCheck:
         out = capsys.readouterr().out
         assert "conv2d" in out and "FAIL" not in out
 
-    def test_impossible_tolerance_fails(self, capsys):
-        assert main(["grad-check", "--seeds", "1", "--tolerance", "1e-18"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_echoes_the_seeds_and_the_fixed_gate(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_CHECKS", {"ok": lambda rng: 1e-9})
+        assert main(["grad-check", "--seeds", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["# effective grad-check config", "seeds = 2", f"tolerance = {GRAD_TOLERANCE}"]
+        assert GRAD_TOLERANCE == 1e-4
 
-    @pytest.mark.parametrize("argv", [
-        ["--seeds", "0"], ["--seeds", "-2"], ["--tolerance", "inf"],
-        ["--tolerance", "nan"], ["--tolerance", "0"],
-    ])
+    def test_a_check_over_the_gate_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_CHECKS", {"ok": lambda rng: 1e-9, "bad": lambda rng: 1.0})
+        assert main(["grad-check", "--seeds", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "ok: max_error=1.000e-09 PASS" in out and "bad: max_error=1.000e+00 FAIL" in out
+
+    def test_a_nan_at_a_middle_seed_fails(self, monkeypatch, capsys):
+        """The worst error over seeds keeps a NaN, which the built-in max would skip past."""
+        errors = iter([1e-9, float("nan"), 1e-9])
+        monkeypatch.setattr(verify, "_CHECKS", {"flaky": lambda rng: next(errors)})
+        assert main(["grad-check", "--seeds", "3"]) == 1
+        assert "flaky: max_error=nan FAIL" in capsys.readouterr().out
+
+    def test_tolerance_is_not_an_option(self, capsys):
+        assert "--tolerance" not in subcommand_flags("grad-check")
+        assert main(["grad-check", "--tolerance", "1"]) == 1
+        assert "unrecognized arguments: --tolerance 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-2"]])
     def test_a_suite_that_checks_nothing_exits_one(self, argv, capsys):
         assert main(["grad-check", *argv]) == 1
         captured = capsys.readouterr()

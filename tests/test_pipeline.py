@@ -32,22 +32,12 @@ from mlareid.pipeline import (
     pk_sampler,
     run_training,
 )
+from conftest import pin_cores, tiny_backbone, within
 
 
 def labels_of(raw) -> PseudoLabels:
     raw = np.asarray(raw)
     return PseudoLabels(labels=raw, k=int(raw.max()) + 1 if (raw >= 0).any() else 0)
-
-
-def tiny_backbone(mode: str) -> BackboneConfig:
-    return BackboneConfig(
-        input_hw=(16, 16),
-        stage_channels=(4, 8),
-        blocks_per_stage=(1, 1),
-        embed_dim=4,
-        attention_mode=mode,
-        heads=2,
-    )
 
 
 def random_bytes(rng, shape):
@@ -682,32 +672,6 @@ class TestBnWarmup:
         params = build_backbone(tiny_backbone("all"), 3)
         with pytest.raises(ContractError, match="float64"):
             bn_warmup(params, decode(random_bytes(np.random.default_rng(0), (8, 16, 16, 3))), 1)
-
-
-def pin_cores(monkeypatch, n):
-    """Make ``n`` cores look usable to ``autodiff.usable_cores``."""
-    import os
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def within(seconds, fn, *args):
-    """fn(*args) on its own thread, failing the test if it has not returned in ``seconds``."""
-    result = {}
-
-    def run():
-        try:
-            result["value"] = fn(*args)
-        except BaseException as exc:  # re-raised on the test's thread
-            result["error"] = exc
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=seconds)
-    assert not worker.is_alive(), f"no return within {seconds} s"
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
 
 
 class TestParallelExtraction:

@@ -18,6 +18,7 @@ SPAN_TARGET = re.compile(r"^mlareid\.(\w+):(\w+)")
 # Public names kept without a caller outside the tests, each with its reason.
 ALLOWED = {
     ("autodiff", "sqrt"): "kept for the bit test of the composed batch-norm chain until the numerics change",
+    ("autodiff", "div"): "kept for the bit test of the composed batch-norm chain until the numerics change",
     ("dataio", "figure_mask"): "the figure-versus-background telemetry of the attention study will call it",
 }
 

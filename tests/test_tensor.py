@@ -30,7 +30,7 @@ from mlareid.autodiff import (
 )
 from mlareid.attention import MODES
 from mlareid.errors import ContractError, DimensionError
-from test_pipeline import pin_cores, tiny_backbone, within
+from conftest import pin_cores, tiny_backbone, within
 
 
 def conv2d_loop_reference(x, kernel, bias=None, stride=1, zero_pad=0):
