@@ -4,6 +4,8 @@ Every downstream module (attention operators, backbone, contrastive loss)
 is built from the ops here. Conventions:
 
 * float64 throughout; image-like data is row-major NHWC,
+* ops are module functions only (``mul(a, b)``, never ``a * b``); numpy
+  refuses to wrap a ``Tensor``, so mixing one with an array raises ``TypeError``,
 * each op states only its math: one gradient rule per input, mapping the
   output's gradient to that input's. The tape, built eagerly per forward
   pass and freed by ``Tensor.backward``, applies them: it skips inputs
@@ -42,6 +44,8 @@ Rule = Callable[[np.ndarray], np.ndarray]
 
 class Tensor:
     """An n-dimensional float64 array with optional gradient tape participation."""
+
+    __array_ufunc__ = None  # numpy raises TypeError rather than wrapping a Tensor in an object array
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
@@ -107,29 +111,6 @@ class Tensor:
                 _run_rules(node, pool)
                 if node._rules:  # an interior node's gradient is spent once its rules ran
                     node._rules, node.grad = (), None
-
-    # Operator sugar; the module-level functions are the canonical API.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NORM_EPS, Tensor, add, exp, log, matmul, sub, tmean, tsum
+from .autodiff import NORM_EPS, Tensor, add, exp, getitem, log, matmul, reshape, sub, tmean, tsum
 from .errors import ContractError
 from .clustering import PseudoLabels, cluster_members
 
@@ -66,7 +66,7 @@ def cluster_nce_loss(x: Tensor, targets, mem: MemoryDictionary) -> Tensor:
     row_max = Tensor(logits.data.max(axis=1, keepdims=True))  # detached constant
     shifted = sub(logits, row_max)
     lse = add(log(tsum(exp(shifted), axis=1, keepdims=True)), row_max)  # [b, 1]
-    picked = logits[np.arange(targets.shape[0]), targets].reshape((targets.shape[0], 1))
+    picked = reshape(getitem(logits, (np.arange(targets.shape[0]), targets)), (targets.shape[0], 1))
     return tmean(sub(lse, picked))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, l2_normalize, no_grad, tmean
+from .autodiff import Tensor, add, l2_normalize, matmul, mul, no_grad, tmean, tsum
 from .backbone import BackboneParams, forward_to_featuremap
 from .contrast import MemoryDictionary
 from .dataio import ImageRecord, bilinear_upsample, stack_pixels, write_ppm
@@ -144,7 +144,7 @@ def grad_cam_heatmap(
         fmap = forward_to_featuremap(Tensor(record.pixels[None, ...]), params, training=False)
     fmap = Tensor(fmap.data, requires_grad=True)  # the tape starts at the map
     pooled = tmean(fmap, axis=(1, 2))
-    projected = pooled @ params.embed_w.detach() + params.embed_b.detach()
+    projected = add(matmul(pooled, params.embed_w.detach()), params.embed_b.detach())
 
     if memory is not None:
         feat = l2_normalize(projected, axis=-1)
@@ -152,10 +152,10 @@ def grad_cam_heatmap(
             cluster_id = int(np.argmax(memory.centroids @ feat.data[0]))
         elif not 0 <= cluster_id < memory.k:
             raise ContractError(f"cluster id {cluster_id} is not in [0,{memory.k})")
-        score = (feat * Tensor(memory.centroids[cluster_id][None, :] / memory.tau)).sum()
+        score = tsum(mul(feat, Tensor(memory.centroids[cluster_id][None, :] / memory.tau)))
         target = f"cluster {cluster_id} logit"
     else:
-        score = (projected * projected).sum()
+        score = tsum(mul(projected, projected))
         target = "embedding energy"
     score.backward()
     grid = cam_from_gradients(fmap.data[0], fmap.grad[0])

@@ -394,16 +394,24 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
 # checkpoint binding
 # ---------------------------------------------------------------------------
 
-def _stored(entries: dict[str, np.ndarray], name: str, path) -> np.ndarray:
+def _stored(entries: dict[str, np.ndarray], name: str, path, shape: tuple,
+            top: int | None = None) -> np.ndarray:
+    """Entry ``name``, refused unless present with ``shape`` (a ``None`` axis takes any length)
+    and, given ``top``, holding only whole numbers in 0..``top``."""
     if name not in entries:
         raise DataFormatError(f"checkpoint {path} lacks {name!r}")
-    return entries[name]
+    value = entries[name]
+    if value.ndim != len(shape) or any(want not in (None, got) for got, want in zip(value.shape, shape)):
+        raise DataFormatError(f"checkpoint {path} {name!r} has shape {value.shape}, expected {shape}")
+    if top is not None and not np.all((value >= 0) & (value <= top) & (value == np.floor(value))):
+        raise DataFormatError(f"checkpoint {path} {name!r} holds a value that is no whole number in 0-{top}")
+    return value
 
 
 def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
-    """The UTF-8 text stored under ``name``, one float64 per byte (round-trips exactly)."""
+    """The UTF-8 text stored under ``name``, one whole float64 per byte (uint8 would wrap 321 to 65)."""
     try:
-        return _stored(entries, name, path).astype(np.uint8).tobytes().decode("utf-8")
+        return _stored(entries, name, path, (None,), top=255).astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"checkpoint {path} {name} is not UTF-8 text ({exc})") from None
 
@@ -449,14 +457,10 @@ def _load_trained(
         _stored_config(entries, "meta.backbone", BackboneConfig(), path), train_cfg.seed
     )
     for name, target in named_entries(backbone).items():
-        value = _stored(entries, name, path)
-        if value.shape != target.shape:
-            raise DataFormatError(
-                f"checkpoint {path} {name!r} has shape {value.shape}, expected {target.shape}"
-            )
-        target[...] = value
-    centroids = entries.get("memory.centroids")
-    memory = None if centroids is None else MemoryDictionary(centroids)
+        target[...] = _stored(entries, name, path, target.shape)
+    memory = None
+    if "memory.centroids" in entries:
+        memory = MemoryDictionary(_stored(entries, "memory.centroids", path, (None, backbone.cfg.embed_dim)))
     return train_cfg, backbone, memory, entries
 
 
@@ -473,12 +477,16 @@ def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) 
     _refuse_changes("train config", stored, cfg, may_grow="clustering_iterations")
     stored_data = _stored_text(entries, "meta.data", path)
 
-    m, v = ({name[len(p):]: a for name, a in entries.items() if name.startswith(p)}
-            for p in ("optim.m.", "optim.v."))
-    optim = AdamState(m, v, int(_stored(entries, "optim.t", path)))
-
-    state = RunState(cfg=cfg, backbone=backbone, optim=optim, pixels=pixels,
-                     iteration=int(_stored(entries, "pipeline.iteration", path)), memory=memory)
+    t, iteration = (int(_stored(entries, name, path, (), top=2**53))  # float64 counts exactly up to 2**53
+                    for name in ("optim.t", "pipeline.iteration"))
+    params = parameters(backbone) if t else []  # adam_step gives every parameter both moments
+    m, v = ({p.name: _stored(entries, prefix + p.name, path, p.shape) for p in params}
+            for prefix in ("optim.m.", "optim.v."))
+    stray = [n for n in entries if n.startswith(("optim.m.", "optim.v.")) and n.split(".", 2)[2] not in m]
+    if stray:
+        raise DataFormatError(f"checkpoint {path} {stray[0]!r} is the moment of no parameter at optim.t {t}")
+    state = RunState(cfg=cfg, backbone=backbone, optim=AdamState(m, v, t), pixels=pixels,
+                     iteration=iteration, memory=memory)
     if state.data != stored_data:
         raise ConfigError(f"train-split pixels differ from the checkpoint's: "
                           f"sha256 {stored_data} in {path}, {state.data} given")

@@ -34,7 +34,7 @@ GRAD_TOLERANCE = 1e-4  # the gate on every check's worst error; fixed, never loo
 
 
 def _op_check(shape, make_op: Callable[[np.random.Generator], Callable[[Tensor], Tensor]]):
-    """The check of ``(op(t) * w).sum()`` for a probe ``t`` of ``shape`` and a random ``w``.
+    """The check of ``tsum(mul(op(t), w))`` for a probe ``t`` of ``shape`` and a random ``w``.
 
     ``make_op(rng)`` draws the op's own parameters, before the probe and ``w``.
     """
@@ -44,7 +44,7 @@ def _op_check(shape, make_op: Callable[[np.random.Generator], Callable[[Tensor],
         x = Parameter("probe", rng.standard_normal(shape) * 0.5)
         with autodiff.no_grad():
             w = Tensor(rng.standard_normal(op(x).shape))
-        return finite_diff_check(lambda t: (op(t) * w).sum(), x)
+        return finite_diff_check(lambda t: autodiff.tsum(autodiff.mul(op(t), w)), x)
 
     return check
 
@@ -57,7 +57,7 @@ def _conv2d(rng: np.random.Generator):
 
 def _matmul(rng: np.random.Generator):
     m = Tensor(rng.standard_normal((3, 5)))
-    return lambda t: t @ m
+    return lambda t: autodiff.matmul(t, m)
 
 
 def _batch_norm(rng: np.random.Generator):
@@ -89,7 +89,7 @@ def _check_mla_block_params(rng: np.random.Generator) -> float:
     w = rng.standard_normal((2, 3, 3, 8))
 
     def loss(_: Tensor) -> Tensor:
-        return (mla_block_forward(x, p, training=True) * Tensor(w)).sum()
+        return autodiff.tsum(autodiff.mul(mla_block_forward(x, p, training=True), Tensor(w)))
 
     probes = (p.pla.kernel, p.hla.w_q, p.hla.r_h, p.dla.k_d, p.reduce)
     return float(np.max([finite_diff_check(loss, probe) for probe in probes]))  # keeps a NaN

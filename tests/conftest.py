@@ -12,7 +12,13 @@ import threading
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from mlareid.backbone import BackboneConfig  # noqa: E402  (after the BLAS pin)
+from mlareid.autodiff import mul, tsum  # noqa: E402  (after the BLAS pin)
+from mlareid.backbone import BackboneConfig  # noqa: E402
+
+
+def weighted_sum(t, w):
+    """The scalar ``sum(t * w)``, the usual way to pull every element's gradient through a weight."""
+    return tsum(mul(t, w))
 
 
 def tiny_backbone(mode: str) -> BackboneConfig:

@@ -14,7 +14,7 @@ from mlareid.attention import (
     mla_block_forward,
     pla_forward,
 )
-from mlareid.autodiff import Tensor, conv2d, finite_diff_check, relu, sigmoid
+from mlareid.autodiff import Tensor, add, conv2d, finite_diff_check, relu, sigmoid, tsum
 from mlareid.errors import ConfigError, DimensionError
 from mlareid.layers import parameters
 
@@ -120,7 +120,7 @@ class TestPla:
         rng = np.random.default_rng(seed)
         p = init_pla(rng, 2, "pla")
         x0 = rng.standard_normal((1, 3, 3, 2))
-        assert finite_diff_check(lambda t: pla_forward(t, p).sum(), x0) < 1e-4
+        assert finite_diff_check(lambda t: tsum(pla_forward(t, p)), x0) < 1e-4
 
 
 class TestHla:
@@ -185,14 +185,14 @@ class TestHla:
         rng = np.random.default_rng(seed + 20)
         p = init_hla(rng, 2, 1, 2, 2, "hla")
         x0 = rng.standard_normal((1, 2, 2, 2)) * 0.5
-        assert finite_diff_check(lambda t: hla_forward(t, p).sum(), x0) < 1e-4
+        assert finite_diff_check(lambda t: tsum(hla_forward(t, p)), x0) < 1e-4
 
     def test_position_encoding_gradients(self):
         """The learnable position rows receive finite-difference-clean gradients."""
         rng = np.random.default_rng(30)
         p = init_hla(rng, 2, 1, 2, 2, "hla")
         x = Tensor(rng.standard_normal((1, 2, 2, 2)) * 0.5)
-        assert finite_diff_check(lambda _: hla_forward(x, p).sum(), p.r_h) < 1e-4
+        assert finite_diff_check(lambda _: tsum(hla_forward(x, p)), p.r_h) < 1e-4
 
 
 class TestDla:
@@ -235,7 +235,7 @@ class TestDla:
         rng = np.random.default_rng(seed + 40)
         p = init_dla(rng, 2, 3, "dla")
         x0 = rng.standard_normal((1, 2, 2, 2))
-        assert finite_diff_check(lambda t: dla_forward(t, p).sum(), x0) < 1e-4
+        assert finite_diff_check(lambda t: tsum(dla_forward(t, p)), x0) < 1e-4
 
 
 class TestMlaBlock:
@@ -253,7 +253,7 @@ class TestMlaBlock:
         y = relu(p.bn1.apply(conv2d(Tensor(x), p.reduce), False))
         m = relu(p.bn2.apply(conv2d(y, p.conv_mid, zero_pad=1), False))
         z = p.bn3.apply(conv2d(m, p.expand), False)
-        expect = relu(z + Tensor(x)).data
+        expect = relu(add(z, Tensor(x))).data
         np.testing.assert_array_equal(got, expect)
 
     def test_dla_identity_block_doubles_positive_input(self):
@@ -277,7 +277,7 @@ class TestMlaBlock:
         y = relu(p.bn1.apply(conv2d(Tensor(x), p.reduce), False))
         m = dla_forward(hla_forward(pla_forward(y, p.pla), p.hla), p.dla)
         z = p.bn3.apply(conv2d(relu(p.bn2.apply(m, False)), p.expand), False)
-        expect = relu(z + Tensor(x)).data
+        expect = relu(add(z, Tensor(x))).data
         np.testing.assert_array_equal(got, expect)
 
     def test_unknown_mode_rejected(self):
@@ -309,7 +309,7 @@ class TestMlaBlock:
         p = self.build("all", c_in=2, c_mid=2, c_out=2, seed=seed + 60, hw=(2, 2))
         rng = np.random.default_rng(seed + 70)
         x0 = rng.standard_normal((1, 2, 2, 2)) * 0.5
-        err = finite_diff_check(lambda t: mla_block_forward(t, p, training=False).sum(), x0)
+        err = finite_diff_check(lambda t: tsum(mla_block_forward(t, p, training=False)), x0)
         assert err < 1e-4
 
     def test_identical_seeds_build_identical_blocks(self):

@@ -21,7 +21,7 @@ from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.errors import ConfigError, DataFormatError, DimensionError
 from mlareid.layers import parameters
 from mlareid.pipeline import AdamState, RunState, TrainConfig, load_backbone_from_checkpoint, save_run_checkpoint
-from conftest import pin_cores
+from conftest import pin_cores, weighted_sum
 
 # sha256 of the newline-joined named_entries() keys of the default config
 LAYOUT_SHA256 = {
@@ -168,7 +168,7 @@ class TestFeatures:
         x = Tensor(np.random.default_rng(6).uniform(0, 1, size=(1, 16, 8, 3)))
         fmap = forward_to_featuremap(x, params, training=False).detach()
         target = Tensor(np.random.default_rng(7).standard_normal((1, 6)))
-        err = finite_diff_check(lambda _: (embed_from_featuremap(fmap, params) * target).sum(), params.embed_w)
+        err = finite_diff_check(lambda _: weighted_sum(embed_from_featuremap(fmap, params), target), params.embed_w)
         assert err < 1e-3
 
     def test_full_network_input_gradients(self):
@@ -182,7 +182,7 @@ class TestFeatures:
         v = np.random.default_rng(9).standard_normal((1, 4))
 
         def run(t):
-            return (extract_features(t, params, training=False) * Tensor(v)).sum()
+            return weighted_sum(extract_features(t, params, training=False), Tensor(v))
 
         assert finite_diff_check(run, x0) < 1e-3
 

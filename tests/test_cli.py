@@ -269,6 +269,31 @@ class TestTrain:
             assert f"checkpoint {old} 'backbone.stem' has shape (1, 1, 3, 4), expected {want}" in err
         assert not out.exists()
 
+    MISFITS = {  # case -> (entry, its tampered value from the stored one)
+        "moment-shape": ("optim.m.backbone.stem", lambda a: np.zeros(1)),  # numpy would broadcast it
+        "moment-length": ("optim.v.mla.bn1.gamma", lambda a: np.zeros(a.size + 1)),
+        "moment-of-no-parameter": ("optim.m.backbone.nope", lambda a: np.zeros(3)),
+        "step-shape": ("optim.t", lambda a: np.full(2, a)),  # once an uncaught TypeError
+        "step-nan": ("optim.t", lambda a: np.array(np.nan)),
+        "iteration-shape": ("pipeline.iteration", lambda a: a.reshape(1)),
+        "iteration-negative": ("pipeline.iteration", lambda a: np.array(-3.0)),
+        "centroid-width": ("memory.centroids", lambda a: np.zeros((a.shape[0], a.shape[1] + 1))),
+        "train-text-byte": ("meta.train", lambda a: np.append(a, 321.0)),  # uint8 would wrap it to "A"
+        "backbone-text-byte": ("meta.backbone", lambda a: np.append(a, -1.0)),
+        "data-text-byte": ("meta.data", lambda a: np.append(a, 65.5)),
+    }
+
+    @pytest.mark.parametrize("case", list(MISFITS))
+    def test_resume_refuses_a_misfit_entry_naming_the_file_and_the_entry(self, workspace, tmp_path, case, capsys):
+        entry, tamper = self.MISFITS[case]
+        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        entries[entry] = tamper(entries.get(entry, np.zeros(3)))
+        old, out = tmp_path / "old.bin", tmp_path / "fresh"
+        save_checkpoint(old, entries)
+        assert main(checkpoint_argv(workspace, "train", old, out)) == 2
+        assert f"checkpoint {old} {entry!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["pipeline.iteration", "optim.t"])
     def test_resume_without_a_count_exits_two_naming_it(self, workspace, tmp_path, entry, capsys):
         entries = load_checkpoint(workspace / "run" / "checkpoint.bin")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlareid.backbone import BackboneConfig, build_backbone, forward_to_featuremap
-from mlareid.autodiff import Tensor, tmean, zero_grads
+from mlareid.autodiff import Tensor, add, matmul, mul, tmean, tsum, zero_grads
 from mlareid.contrast import MemoryDictionary
 from mlareid.dataio import ImageRecord, read_ppm, stack_pixels
 from mlareid.errors import ContractError
@@ -249,9 +249,9 @@ class TestGradCam:
 
         x = Tensor(record.pixels[None, ...])
         fmap = Tensor(forward_to_featuremap(x, params, training=False).data, requires_grad=True)
-        projected = tmean(fmap, axis=(1, 2)) @ params.embed_w + params.embed_b
+        projected = add(matmul(tmean(fmap, axis=(1, 2)), params.embed_w), params.embed_b)
         feat = l2_normalize(projected, axis=-1)
-        (feat * Tensor(mem.centroids[2][None, :] / mem.tau)).sum().backward()
+        tsum(mul(feat, Tensor(mem.centroids[2][None, :] / mem.tau))).backward()
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
         np.testing.assert_allclose(hm.grid, expect, atol=1e-10)
 
@@ -261,8 +261,8 @@ class TestGradCam:
         record = tiny_record(3)
         x = Tensor(record.pixels[None, ...])
         fmap = Tensor(forward_to_featuremap(x, params, training=False).data, requires_grad=True)
-        projected = tmean(fmap, axis=(1, 2)) @ params.embed_w + params.embed_b
-        (projected * projected).sum().backward()
+        projected = add(matmul(tmean(fmap, axis=(1, 2)), params.embed_w), params.embed_b)
+        tsum(mul(projected, projected)).backward()
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
         zero_grads(parameters(params))
         hm = grad_cam_heatmap(record, params)

@@ -30,7 +30,7 @@ from mlareid.autodiff import (
 )
 from mlareid.attention import MODES
 from mlareid.errors import ContractError, DimensionError
-from conftest import pin_cores, tiny_backbone, within
+from conftest import pin_cores, tiny_backbone, weighted_sum, within
 
 
 def conv2d_loop_reference(x, kernel, bias=None, stride=1, zero_pad=0):
@@ -132,13 +132,13 @@ class TestConv2d:
         b0 = rng.standard_normal(2)
 
         err_x = finite_diff_check(
-            lambda t: conv2d(t, Tensor(k0), bias=Tensor(b0), zero_pad=1).sum(), x0
+            lambda t: ad.tsum(conv2d(t, Tensor(k0), bias=Tensor(b0), zero_pad=1)), x0
         )
         err_k = finite_diff_check(
-            lambda t: conv2d(Tensor(x0), t, bias=Tensor(b0), zero_pad=1).sum(), k0
+            lambda t: ad.tsum(conv2d(Tensor(x0), t, bias=Tensor(b0), zero_pad=1)), k0
         )
         err_b = finite_diff_check(
-            lambda t: conv2d(Tensor(x0), Tensor(k0), bias=t, zero_pad=1).sum(), b0
+            lambda t: ad.tsum(conv2d(Tensor(x0), Tensor(k0), bias=t, zero_pad=1)), b0
         )
         assert err_x < 1e-6 and err_k < 1e-6 and err_b < 1e-6
 
@@ -148,7 +148,7 @@ class TestConv2d:
         x0 = rng.standard_normal((1, 5, 5, 2))
         k0 = rng.standard_normal((3, 3, 2, 3))
         err = finite_diff_check(
-            lambda t: conv2d(t, Tensor(k0), stride=2, zero_pad=1).sum(), x0
+            lambda t: ad.tsum(conv2d(t, Tensor(k0), stride=2, zero_pad=1)), x0
         )
         assert err < 1e-6
 
@@ -162,7 +162,7 @@ class TestConv2d:
         w = Tensor(rng.standard_normal(conv2d(Tensor(x0), Tensor(k0), stride=stride).shape))
 
         def run(x, k, b):
-            return (conv2d(x, k, bias=b, stride=stride) * w).sum()
+            return weighted_sum(conv2d(x, k, bias=b, stride=stride), w)
 
         err_x = finite_diff_check(lambda t: run(t, Tensor(k0), Tensor(b0)), x0)
         err_k = finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), k0)
@@ -181,7 +181,7 @@ class TestConv2d:
         k = Tensor(rng.standard_normal((ksize, ksize, c_in, 16)), requires_grad=True)
         out = conv2d(Tensor(x0), k, stride=stride, zero_pad=pad)
         g = rng.standard_normal(out.shape)
-        (out * Tensor(g)).sum().backward()
+        weighted_sum(out, Tensor(g)).backward()
 
         padded = np.pad(x0, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         win = sliding_window_view(padded, (ksize, ksize), axis=(1, 2))[:, ::stride, ::stride]
@@ -230,8 +230,8 @@ class TestMatmul:
         rng = np.random.default_rng(13)
         a0 = rng.standard_normal((3, 4))
         b0 = rng.standard_normal((4, 5))
-        assert finite_diff_check(lambda t: matmul(t, Tensor(b0)).sum(), a0) < 1e-6
-        assert finite_diff_check(lambda t: matmul(Tensor(a0), t).sum(), b0) < 1e-6
+        assert finite_diff_check(lambda t: ad.tsum(matmul(t, Tensor(b0))), a0) < 1e-6
+        assert finite_diff_check(lambda t: ad.tsum(matmul(Tensor(a0), t)), b0) < 1e-6
 
 
 class TestSoftmax:
@@ -275,7 +275,7 @@ class TestSoftmax:
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        err = finite_diff_check(lambda t: (softmax(t) * Tensor(v)).sum(), x0)
+        err = finite_diff_check(lambda t: weighted_sum(softmax(t), Tensor(v)), x0)
         assert err < 1e-6
 
 
@@ -314,7 +314,7 @@ class TestElementwise:
             x = Tensor(rng.standard_normal((n, 8, 4, 64)), requires_grad=True)
             g = rng.standard_normal((n, 64))
             pooled = ad.tmean(x, axis=(1, 2))
-            (pooled * Tensor(g)).sum().backward()
+            weighted_sum(pooled, Tensor(g)).backward()
             assert pooled.data.tobytes() == x.data.mean(axis=(1, 2)).tobytes()
             assert x.grad.tobytes() == (g[:, None, None, :] / 32 + np.zeros(x.shape)).tobytes()
 
@@ -328,8 +328,8 @@ class TestElementwise:
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(6) + 0.5
         v = rng.standard_normal(6)
-        err2 = finite_diff_check(lambda t: (l2_normalize(t) * Tensor(v)).sum(), x0)
-        err1 = finite_diff_check(lambda t: (l1_normalize(t) * Tensor(v)).sum(), x0)
+        err2 = finite_diff_check(lambda t: weighted_sum(l2_normalize(t), Tensor(v)), x0)
+        err1 = finite_diff_check(lambda t: weighted_sum(l1_normalize(t), Tensor(v)), x0)
         assert err2 < 1e-6 and err1 < 1e-6
 
 
@@ -371,7 +371,7 @@ class TestBatchNorm:
         w = Tensor(rng.standard_normal(x0.shape))
 
         def run(x, g, b):
-            return (batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True) * w).sum()
+            return weighted_sum(batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True), w)
 
         assert finite_diff_check(lambda t: run(t, Tensor(g0), Tensor(b0)), x0) < 1e-4
         assert finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), g0) < 1e-6
@@ -387,7 +387,7 @@ class TestBatchNorm:
         mean, var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
 
         def run(x, g, b):
-            return (batch_norm(x, g, b, mean, var, training=False) * w).sum()
+            return weighted_sum(batch_norm(x, g, b, mean, var, training=False), w)
 
         assert finite_diff_check(lambda t: run(t, Tensor(g0), Tensor(b0)), x0) < 1e-6
         assert finite_diff_check(lambda t: run(Tensor(x0), t, Tensor(b0)), g0) < 1e-6
@@ -406,13 +406,14 @@ class TestBatchNorm:
         def composed(x, g, b):
             scale = 1.0 / np.sqrt(var.reshape(bshape) + ad.NORM_EPS)
             centered = ad.sub(x, mean.reshape(bshape))
-            return ad.add(ad.mul(ad.mul(centered, Tensor(scale)), g.reshape(bshape)), b.reshape(bshape))
+            scaled = ad.mul(ad.mul(centered, Tensor(scale)), ad.reshape(g, bshape))
+            return ad.add(scaled, ad.reshape(b, bshape))
 
         results = []
         for f in (composed, lambda x, g, b: batch_norm(x, g, b, mean, var, training=False)):
             x, g, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, g0, b0))
             out = f(x, g, b)
-            (out * w).sum().backward()
+            weighted_sum(out, w).backward()
             results.append([a.tobytes() for a in (out.data, x.grad, g.grad, b.grad)])
         assert results[0] == results[1]
 
@@ -429,7 +430,7 @@ class TestBatchNorm:
         running_mean[...] = (1.0 - mom) * running_mean + mom * m.data.reshape(c)
         running_var[...] = (1.0 - mom) * running_var + mom * v.data.reshape(c)
         inv = ad.div(1.0, ad.sqrt(ad.add(v, ad.NORM_EPS)))
-        return ad.add(ad.mul(ad.mul(centered, inv), gamma.reshape(bshape)), beta.reshape(bshape))
+        return ad.add(ad.mul(ad.mul(centered, inv), ad.reshape(gamma, bshape)), ad.reshape(beta, bshape))
 
     @pytest.mark.parametrize("shape", [(4, 3), (1, 2, 3, 3), (2, 3, 2, 3), (16, 8, 4, 32)])
     @pytest.mark.parametrize("affine_grad", [True, False], ids=["affine", "frozen-affine"])
@@ -446,7 +447,7 @@ class TestBatchNorm:
             x = Tensor(x0.copy(), requires_grad=True)
             g, b = (Tensor(v.copy(), requires_grad=affine_grad) for v in (g0, b0))
             out = f(x, g, b, mean, var)
-            (out * w).sum().backward()
+            weighted_sum(out, w).backward()
             grads = [t.grad.tobytes() for t in (x, g, b) if t.requires_grad]
             return [a.tobytes() for a in (out.data, mean, var)] + grads
 
@@ -474,7 +475,7 @@ class TestBatchNorm:
             mean, var = mean0.copy(), var0.copy()
             x, g, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, g0, b0))
             out = f(x, g, b, mean, var)
-            (out * w).sum().backward()
+            weighted_sum(out, w).backward()
             return [a.tobytes() for a in (out.data, mean, var, x.grad, g.grad, b.grad)]
 
         want = run(lambda *args: ad.relu(batch_norm(*args, training=training)))
@@ -487,9 +488,9 @@ class TestNoGrad:
         """Under no_grad an op on a grad-requiring input records nothing."""
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with ad.no_grad():
-            out = relu(x * 2.0).sum()
+            out = ad.tsum(relu(ad.mul(x, 2.0)))
         assert not out.requires_grad and out._rules == ()
-        assert (x * 2.0).requires_grad
+        assert ad.mul(x, 2.0).requires_grad
 
     def test_values_match_grad_mode(self):
         """Forward values are identical with and without the tape."""
@@ -505,16 +506,16 @@ class TestNoGrad:
         x = Tensor([1.0], requires_grad=True)
         with ad.no_grad():
             with ad.no_grad():
-                assert not (x * x).requires_grad
-            assert not (x * x).requires_grad
-        assert (x * x).requires_grad
+                assert not ad.mul(x, x).requires_grad
+            assert not ad.mul(x, x).requires_grad
+        assert ad.mul(x, x).requires_grad
 
     def test_mode_restored_after_exception(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(RuntimeError):
             with ad.no_grad():
                 raise RuntimeError("boom")
-        assert (x * x).requires_grad
+        assert ad.mul(x, x).requires_grad
 
     def test_mode_is_per_thread(self):
         """While one thread holds no_grad(), a forward in a second thread still builds a tape."""
@@ -525,7 +526,7 @@ class TestNoGrad:
 
         def hold():
             with ad.no_grad():
-                seen["held"] = (x * x).requires_grad
+                seen["held"] = ad.mul(x, x).requires_grad
                 holding.set()
                 done.wait(timeout=30)
 
@@ -533,7 +534,7 @@ class TestNoGrad:
         holder.start()
         try:
             assert holding.wait(timeout=30)
-            out = relu(conv2d(x.reshape(1, 2, 1, 3), k)).sum()
+            out = ad.tsum(relu(conv2d(ad.reshape(x, (1, 2, 1, 3)), k)))
             assert out.requires_grad and out._rules != ()
             out.backward()
             assert k.grad is not None
@@ -558,11 +559,36 @@ class TestNoGrad:
         assert [a.tobytes() for a in free] == [a.tobytes() for a in taped]
 
 
+class TestOpsAreFunctionsOnly:
+    """An op has one spelling, the module function; numpy refuses to wrap a Tensor."""
+
+    @pytest.mark.parametrize("expr", [
+        lambda t, a: t * t,
+        lambda t, a: t + t,
+        lambda t, a: t @ t,
+        lambda t, a: t[0],
+        lambda t, a: a * t,
+        lambda t, a: a + t,
+        lambda t, a: a @ t,
+        lambda t, a: t * a,
+        lambda t, a: np.add(a, t),
+    ], ids=["t*t", "t+t", "t@t", "t[0]", "a*t", "a+t", "a@t", "t*a", "np.add(a,t)"])
+    def test_operators_and_ufuncs_raise_type_error(self, expr):
+        t = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        with pytest.raises(TypeError):
+            expr(t, np.ones((2, 2)))
+
+    def test_no_operator_member_is_left(self):
+        members = ("__add__", "__radd__", "__mul__", "__rmul__", "__matmul__", "__getitem__", "reshape", "sum")
+        assert [m for m in members if hasattr(Tensor, m)] == []
+        assert Tensor.__array_ufunc__ is None
+
+
 class TestBackward:
     def test_sum_of_squares_grad(self):
         """d/dx sum(x*x) at [1,2,3] is [2,4,6]."""
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        (x * x).sum().backward()
+        ad.tsum(ad.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
     def test_matmul_sum_matches_finite_differences(self):
@@ -570,13 +596,13 @@ class TestBackward:
         rng = np.random.default_rng(15)
         a0 = rng.standard_normal((3, 4))
         b0 = rng.standard_normal((4, 2))
-        assert finite_diff_check(lambda t: matmul(t, Tensor(b0)).sum(), a0) < 1e-6
+        assert finite_diff_check(lambda t: ad.tsum(matmul(t, Tensor(b0))), a0) < 1e-6
 
     def test_unreachable_parameter_keeps_zero_grad(self):
         """A parameter with no path to the loss receives no gradient."""
         used = Parameter("w.used", np.ones(3))
         unused = Parameter("w.unused", np.ones(3))
-        (used * used).sum().backward()
+        ad.tsum(ad.mul(used, used)).backward()
         assert used.grad is not None
         assert unused.grad is None or not unused.grad.any()
 
@@ -589,8 +615,8 @@ class TestBackward:
         a = matmul(x, w1)
         h = relu(a)
         y = matmul(h, w2)
-        z = y * Tensor(v)
-        loss = z.sum()
+        z = ad.mul(y, Tensor(v))
+        loss = ad.tsum(z)
         loss.backward()
         assert all(t.grad is None and t._rules == () for t in (a, h, y, z, loss))
         g_y = np.ones(()) * v
@@ -602,7 +628,7 @@ class TestBackward:
     def test_backward_frees_nodes_as_it_goes(self):
         """A node nobody holds is gone before the rules of the node below it run."""
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        a = x * 2.0
+        a = ad.mul(x, 2.0)
         seen = []
 
         def rule(g):
@@ -612,7 +638,7 @@ class TestBackward:
         probe = ad._make(a.data.copy(), (a, rule))
         b = relu(probe)
         b_ref = weakref.ref(b)
-        loss = b.sum()
+        loss = ad.tsum(b)
         del b  # only the tape holds b now
         loss.backward()
         assert seen == [True]
@@ -622,9 +648,9 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError, match="scalar"):
-            (Tensor(np.zeros(3), requires_grad=True) * 2.0).backward()
+            ad.mul(Tensor(np.zeros(3), requires_grad=True), 2.0).backward()
         with pytest.raises(ContractError, match="scalar"):
-            (Tensor(np.zeros((2, 2)), requires_grad=True) * 2.0).backward()
+            ad.mul(Tensor(np.zeros((2, 2)), requires_grad=True), 2.0).backward()
 
     def test_item_of_non_scalar_names_the_shape(self):
         assert Tensor(np.full((1, 1), 2.5)).item() == 2.5
@@ -634,32 +660,32 @@ class TestBackward:
     def test_grads_accumulate_until_zeroed(self):
         """Two backward passes double the gradient; zeroing resets it."""
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * x).sum().backward()
-        (x * x).sum().backward()
+        ad.tsum(ad.mul(x, x)).backward()
+        ad.tsum(ad.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
         zero_grads([x])
-        (x * x).sum().backward()
+        ad.tsum(ad.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_shared_subexpression_accumulates(self):
         """A tensor feeding two branches sums both contributions."""
         x = Tensor([2.0], requires_grad=True)
-        y = x * 3.0
-        (y * y + y).sum().backward()
+        y = ad.mul(x, 3.0)
+        ad.tsum(ad.add(ad.mul(y, y), y)).backward()
         # d/dx (9x^2 + 3x) = 18x + 3
         np.testing.assert_allclose(x.grad, [39.0])
 
     def test_detach_blocks_gradient(self):
         """A detached branch contributes value but no gradient."""
         x = Tensor([3.0], requires_grad=True)
-        (x.detach() * x).sum().backward()
+        ad.tsum(ad.mul(x.detach(), x)).backward()
         np.testing.assert_allclose(x.grad, [3.0])
 
     def test_broadcast_add_unbroadcasts(self):
         """Broadcast operands receive summed gradients of their own shape."""
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        (a + b).sum().backward()
+        ad.tsum(ad.add(a, b)).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
 
@@ -668,7 +694,8 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         front = getitem(x, (slice(None), slice(0, 2)))
         back = getitem(x, (slice(None), slice(2, 3)))
-        loss = (back * Tensor([[1.0], [4.0]])).sum() + (front * Tensor([[2.0, 3.0], [5.0, 6.0]])).sum()
+        loss = ad.add(weighted_sum(back, Tensor([[1.0], [4.0]])),
+                      weighted_sum(front, Tensor([[2.0, 3.0], [5.0, 6.0]])))
         loss.backward()
         np.testing.assert_allclose(x.grad, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
 
@@ -679,7 +706,7 @@ class TestBackward:
         v = rng.standard_normal((4, 6))
 
         def run(t):
-            return (transpose(t, (2, 0, 1)).reshape((4, 6)) * Tensor(v)).sum()
+            return weighted_sum(ad.reshape(transpose(t, (2, 0, 1)), (4, 6)), Tensor(v))
 
         assert finite_diff_check(run, x0) < 1e-6
 
@@ -708,7 +735,7 @@ class TestTapePolicy:
 
         def grads(needs):
             inputs = [Tensor(v.copy(), requires_grad=r) for v, r in zip(values, needs)]
-            (op(*inputs) * Tensor(w)).sum().backward()
+            weighted_sum(op(*inputs), Tensor(w)).backward()
             return [t.grad for t in inputs]
 
         full = grads([True] * len(shapes))
@@ -724,14 +751,14 @@ class TestTapePolicy:
 class TestFiniteDiffCheck:
     def test_square_at_three(self):
         """f(x)=x^2 at x=3 agrees with the analytic slope 6 within 1e-8."""
-        err = finite_diff_check(lambda t: (t * t).sum(), np.array([3.0]))
+        err = finite_diff_check(lambda t: ad.tsum(ad.mul(t, t)), np.array([3.0]))
         assert err < 1e-8
 
     def test_softmax_dot(self):
         """softmax-then-dot error stays below 1e-6."""
         rng = np.random.default_rng(17)
         v = rng.standard_normal(5)
-        err = finite_diff_check(lambda t: (softmax(t) * Tensor(v)).sum(), rng.standard_normal(5))
+        err = finite_diff_check(lambda t: weighted_sum(softmax(t), Tensor(v)), rng.standard_normal(5))
         assert err < 1e-6
 
     def test_conv_sum(self):
@@ -739,7 +766,7 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(18)
         k = rng.standard_normal((3, 3, 2, 2))
         err = finite_diff_check(
-            lambda t: conv2d(t, Tensor(k), zero_pad=1).sum(), rng.standard_normal((1, 4, 4, 2))
+            lambda t: ad.tsum(conv2d(t, Tensor(k), zero_pad=1)), rng.standard_normal((1, 4, 4, 2))
         )
         assert err < 1e-6
 
@@ -751,14 +778,14 @@ class TestFiniteDiffCheck:
         x = Tensor(rng.standard_normal((4, 2)))
         v = Tensor(rng.standard_normal((4, 3)))
         w.grad = np.ones((2, 3))
-        err = finite_diff_check(lambda _: (softmax(x @ w) * v).sum(), w)
+        err = finite_diff_check(lambda _: weighted_sum(softmax(matmul(x, w)), v), w)
         assert err < 1e-6
         assert w.data.tobytes() == before
         assert w.grad is None
 
     def test_non_scalar_f_rejected(self):
         with pytest.raises(ContractError, match=r"scalar.*\(3,\)"):
-            finite_diff_check(lambda t: t * t, np.ones(3))
+            finite_diff_check(lambda t: ad.mul(t, t), np.ones(3))
 
 
 class TestDeterminism:
@@ -779,7 +806,7 @@ class TestDeterminism:
             x = Tensor(rng.standard_normal((2, 4, 4, 2)), requires_grad=True)
             k = Tensor(rng.standard_normal((3, 3, 2, 2)), requires_grad=True)
             out = conv2d(x, k, zero_pad=1)
-            softmax(out.reshape((2, 32)), axis=-1).sum().backward()
+            ad.tsum(softmax(ad.reshape(out, (2, 32)), axis=-1)).backward()
             return x.grad.tobytes() + k.grad.tobytes()
 
         assert run() == run()
@@ -800,7 +827,7 @@ def large_product_loss():
     rng = np.random.default_rng(41)
     x = Tensor(rng.standard_normal(4096), requires_grad=True)
     w = Tensor(rng.standard_normal(4096), requires_grad=True)
-    (x * w).sum().backward()
+    ad.tsum(ad.mul(x, w)).backward()
     return x.grad.tobytes() + w.grad.tobytes()
 
 
@@ -847,7 +874,7 @@ class TestParallelBackward:
         CountingPool.submits = 0
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         w = Tensor([4.0, 5.0, 6.0], requires_grad=True)
-        (x * w).sum().backward()
+        ad.tsum(ad.mul(x, w)).backward()
         assert CountingPool.submits == 1
         assert x.grad.tolist() == [4.0, 5.0, 6.0] and w.grad.tolist() == [1.0, 2.0, 3.0]
 
@@ -878,7 +905,7 @@ class TestParallelBackward:
         product = ad._make(x.data * w.data, (x, lambda g: g * w.data), (w, failing_rule))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="worker rule failed"):
-            product.sum().backward()
+            ad.tsum(product).backward()
         assert ran_on and ran_on[0] != threading.get_ident()
         assert threading.active_count() == before
 
