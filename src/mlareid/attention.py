@@ -57,7 +57,6 @@ class HlaParams:
     w_v: Parameter  # [1,1,c,c]
     r_h: Parameter  # [heads, h, d_head], one row per map row
     r_w: Parameter  # [heads, w, d_head], one row per map column
-    heads: int
 
 
 @dataclass
@@ -67,7 +66,6 @@ class DlaParams:
     w_q: Parameter  # [1,1,c,c]
     k_d: Parameter  # [1,1,c,c_k]
     v_d: Parameter  # [1,1,c_k,c]
-    c_k: int
 
 
 @dataclass
@@ -106,7 +104,6 @@ def init_hla(rng: np.random.Generator, c: int, heads: int, h: int, w: int, name:
         w_v=Parameter(f"{name}.w_v", kaiming(rng, (1, 1, c, c))),
         r_h=Parameter(f"{name}.r_h", rng.standard_normal((heads, h, d_head))),
         r_w=Parameter(f"{name}.r_w", rng.standard_normal((heads, w, d_head))),
-        heads=heads,
     )
 
 
@@ -120,7 +117,6 @@ def init_dla(rng: np.random.Generator, c: int, c_k: int, name: str) -> DlaParams
         w_q=Parameter(f"{name}.w_q", kaiming(rng, (1, 1, c, c))),
         k_d=Parameter(f"{name}.k_d", k_d),
         v_d=Parameter(f"{name}.v_d", v_d),
-        c_k=c_k,
     )
 
 
@@ -180,7 +176,7 @@ def hla_forward(x: Tensor, p: HlaParams) -> Tensor:
     pos(i,j) = r_h[i] + r_w[j]; softmax runs over the key axis.
     """
     n, h, w, c = x.shape
-    heads = p.heads
+    heads = p.r_h.shape[0]
     if c % heads != 0:
         raise DimensionError(f"hla: channel axis 3 extent {c} not divisible by {heads} heads")
     d_head = c // heads

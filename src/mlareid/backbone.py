@@ -58,8 +58,11 @@ class BackboneConfig:
             )
         if not self.stage_channels:
             raise ConfigError("at least one stage is required")
-        if any(b < 1 for b in self.blocks_per_stage):
-            raise ConfigError("every stage needs at least one block")
+        if len(self.input_hw) != 2:
+            raise ConfigError(f"input_hw must be two extents (height, width), got {self.input_hw}")
+        for name in ("stage_channels", "blocks_per_stage", "embed_dim", "heads"):
+            if np.min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         h, w = self.input_hw
         scale = 2 ** len(self.stage_channels)
         if h % scale or w % scale:

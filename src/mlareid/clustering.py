@@ -26,7 +26,10 @@ class DistanceMatrix:
 @dataclass
 class PseudoLabels:
     labels: np.ndarray  # int, -1 for noise, 0..k-1 otherwise
-    k: int
+
+    @property
+    def k(self) -> int:
+        return int(self.labels.max(initial=-1)) + 1
 
 
 @dataclass
@@ -98,7 +101,7 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabels:
     clustered = labels >= 0  # renumber 0,1,2,... in order of first appearance
     _, first, inverse = np.unique(labels[clustered], return_index=True, return_inverse=True)
     labels[clustered] = np.argsort(np.argsort(first))[inverse]
-    return PseudoLabels(labels=labels, k=cluster)
+    return PseudoLabels(labels)
 
 
 def cluster_summary(pl: PseudoLabels) -> ClusterStats:

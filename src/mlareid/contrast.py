@@ -26,8 +26,6 @@ TAU, MU = 0.05, 0.1  # a run's temperature and memory momentum: Cluster Contrast
 @dataclass
 class MemoryDictionary:
     centroids: np.ndarray  # [k, d], unit-norm rows
-    tau: float = TAU
-    mu: float = MU
 
     @property
     def k(self) -> int:
@@ -62,7 +60,7 @@ def cluster_nce_loss(x: Tensor, targets, mem: MemoryDictionary) -> Tensor:
             f"targets must lie in [0,{mem.k}), got range "
             f"[{targets.min()},{targets.max()}]"
         )
-    logits = matmul(x, Tensor(mem.centroids.T / mem.tau))  # [b, k]
+    logits = matmul(x, Tensor(mem.centroids.T / TAU))  # [b, k]
     row_max = Tensor(logits.data.max(axis=1, keepdims=True))  # detached constant
     shifted = sub(logits, row_max)
     lse = add(log(tsum(exp(shifted), axis=1, keepdims=True)), row_max)  # [b, 1]
@@ -83,6 +81,6 @@ def batch_hard_update(mem: MemoryDictionary, batch_features, batch_targets) -> N
         members = f[targets == cid]
         sims = members @ mem.centroids[cid]
         hardest = members[int(np.argmin(sims))]
-        blended = mem.mu * mem.centroids[cid] + (1.0 - mem.mu) * hardest
+        blended = MU * mem.centroids[cid] + (1.0 - MU) * hardest
         norm = np.linalg.norm(blended)
         mem.centroids[cid] = blended / norm if norm > NORM_EPS else blended

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor, add, l2_normalize, matmul, mul, no_grad, tmean, tsum
 from .backbone import BackboneParams, forward_to_featuremap
-from .contrast import MemoryDictionary
+from .contrast import TAU, MemoryDictionary
 from .dataio import ImageRecord, bilinear_upsample, stack_pixels, write_ppm
 from .errors import ContractError
 from .pipeline import extract_all_features
@@ -152,7 +152,7 @@ def grad_cam_heatmap(
             cluster_id = int(np.argmax(memory.centroids @ feat.data[0]))
         elif not 0 <= cluster_id < memory.k:
             raise ContractError(f"cluster id {cluster_id} is not in [0,{memory.k})")
-        score = tsum(mul(feat, Tensor(memory.centroids[cluster_id][None, :] / memory.tau)))
+        score = tsum(mul(feat, Tensor(memory.centroids[cluster_id][None, :] / TAU)))
         target = f"cluster {cluster_id} logit"
     else:
         score = tsum(mul(projected, projected))

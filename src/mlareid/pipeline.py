@@ -149,9 +149,12 @@ class EpochReport:
     noise_frac: float
     mean_loss: float
     lr: float
-    skipped: bool  # fewer than P clusters: no memory, no batch
-    batches: int  # PK batches trained, 0 when skipped
+    batches: int  # PK batches trained, at least 1 unless skipped
     seconds: float
+
+    @property
+    def skipped(self) -> bool:  # fewer than P clusters: no memory, no batch
+        return self.batches == 0
 
     def csv_row(self) -> str:
         return (
@@ -213,11 +216,8 @@ def adam_step(params: list[Parameter], lr: float, state: AdamState) -> None:
     t = state.t
     for p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m.get(p.name)
-        v = state.v.get(p.name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
+        m = state.m.get(p.name, 0.0)  # a first step's zero moments
+        v = state.v.get(p.name, 0.0)
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         state.m[p.name] = m
@@ -345,10 +345,9 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
         raise _failure(out_dir, f"non-finite features at iteration {iteration}", features, None, lr)
     labels = dbscan(pairwise_cosine_distance(features), cfg.eps, cfg.min_pts)
     stats = cluster_summary(labels)
-    skipped = stats.k < cfg.batch_p
     losses: list[float] = []
 
-    if not skipped:
+    if stats.k >= cfg.batch_p:
         memory = init_memory(features, labels, _derived_seed(cfg.seed, iteration, _TAG_MEMORY))
         params = parameters(state.backbone)
         for sub_epoch in range(cfg.epochs_per_iteration):
@@ -382,9 +381,8 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
         iteration=iteration,
         k=stats.k,
         noise_frac=stats.noise_fraction,
-        mean_loss=0.0 if skipped else float(np.mean(losses)),
+        mean_loss=float(np.mean(losses)) if losses else 0.0,
         lr=lr,
-        skipped=skipped,
         batches=len(losses),
         seconds=time.perf_counter() - started,
     )

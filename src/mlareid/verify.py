@@ -100,7 +100,7 @@ def _check_cluster_nce(rng: np.random.Generator) -> float:
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     cents = rng.standard_normal((3, 6))
     cents /= np.linalg.norm(cents, axis=1, keepdims=True)
-    mem = MemoryDictionary(centroids=cents, tau=0.5, mu=0.1)
+    mem = MemoryDictionary(centroids=cents)
     targets = rng.integers(0, 3, size=5)
     x = Parameter("probe", feats)
     return finite_diff_check(lambda t: cluster_nce_loss(t, targets, mem), x)

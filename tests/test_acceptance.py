@@ -181,18 +181,18 @@ class TestCriterion3Dbscan:
 class TestCriterion4LossValues:
     def test_hand_computable_loss_values(self):
         # one cluster: the only logit is the target, so the loss is exactly zero
-        mem1 = MemoryDictionary(centroids=np.array([[1.0, 0.0]]), tau=0.05, mu=0.1)
+        mem1 = MemoryDictionary(centroids=np.array([[1.0, 0.0]]))
         z = cluster_nce_loss(Tensor(np.array([[1.0, 0.0]])), np.array([0]), mem1).data
         exact_zero = z.item() == 0.0
 
-        # two orthogonal centroids at tau=1: log(1 + e^-1)
-        mem2 = MemoryDictionary(centroids=np.eye(2), tau=1.0, mu=0.1)
-        v = cluster_nce_loss(Tensor(np.array([[1.0, 0.0]])), np.array([0]), mem2).data.item()
-        ortho_err = abs(v - np.log1p(np.exp(-1.0)))
+        # x at 45 degrees between two orthogonal centroids ties their logits: log 2 at TAU
+        mem2 = MemoryDictionary(centroids=np.eye(2))
+        v = cluster_nce_loss(Tensor(np.array([[1.0, 1.0]]) / np.sqrt(2.0)), np.array([0]), mem2).data.item()
+        ortho_err = abs(v - np.log(2.0))
 
         # loss falls monotonically in target similarity; the sweep moves in the
         # plane orthogonal to the other centroid so the off-target logit stays 0
-        mem3 = MemoryDictionary(centroids=np.eye(3)[[0, 2]], tau=0.05, mu=0.1)
+        mem3 = MemoryDictionary(centroids=np.eye(3)[[0, 2]])
         sweep = []
         for s in np.linspace(-1.0, 1.0, 50):
             x = np.array([[s, np.sqrt(1.0 - s * s), 0.0]])

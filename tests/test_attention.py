@@ -1,5 +1,7 @@
 """Attention operators against hand cases and direct loop oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mlareid.attention import (
     mla_block_forward,
     pla_forward,
 )
-from mlareid.autodiff import Tensor, add, conv2d, finite_diff_check, relu, sigmoid, tsum
+from mlareid.autodiff import Parameter, Tensor, add, conv2d, finite_diff_check, relu, sigmoid, tsum
 from mlareid.errors import ConfigError, DimensionError
 from mlareid.layers import parameters
 
@@ -27,7 +29,7 @@ def conv1x1_apply(x, kernel):
 def hla_loop_reference(x, p):
     """Direct per-position dataflow: q.k + q.pos logits, softmax, weight v."""
     n, h, w, c = x.shape
-    heads = p.heads
+    heads = p.r_h.shape[0]
     d = c // heads
     out = np.zeros_like(x)
     q_all = conv1x1_apply(x, p.w_q.data)
@@ -53,7 +55,7 @@ def hla_loop_reference(x, p):
 def dla_loop_reference(x, p):
     """Per-pixel slot softmax, per-slot pixel normalization, value read-out."""
     n, h, w, c = x.shape
-    c_k = p.c_k
+    c_k = p.k_d.shape[-1]
     out = np.zeros_like(x)
     for b in range(n):
         q = conv1x1_apply(x[b], p.w_q.data)
@@ -174,6 +176,14 @@ class TestHla:
         for hw in ((5, 4), (4, 5), (3, 4), (4, 3)):
             with pytest.raises(DimensionError, match="does not match the 4x4 position rows"):
                 hla_forward(Tensor(np.zeros((1, *hw, 2))), p)
+
+    def test_stage_params_hold_only_parameters(self):
+        """The head count is r_h's first axis and the slot count k_d's last: no field restates them."""
+        rng = np.random.default_rng(17)
+        pla, hla, dla = init_pla(rng, 4, "pla"), init_hla(rng, 4, 2, 2, 3, "hla"), init_dla(rng, 4, 3, "dla")
+        for p in (pla, hla, dla):
+            assert all(isinstance(getattr(p, f.name), Parameter) for f in fields(p)), p
+        assert (hla.r_h.shape[0], dla.k_d.shape[-1]) == (2, 3)
 
     def test_indivisible_heads_rejected_at_init(self):
         with pytest.raises(ConfigError):

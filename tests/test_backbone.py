@@ -207,7 +207,7 @@ class TestTapeMemory:
         rng = np.random.default_rng(7)
         images = Tensor(rng.uniform(0.0, 1.0, (16, *cfg.input_hw, 3)))
         centroids = rng.standard_normal((4, cfg.embed_dim))
-        memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True), 0.05, 0.1)
+        memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True))
         mib = 2.0 ** 20
         tracemalloc.start()
         try:

@@ -249,6 +249,29 @@ class TestTrain:
         assert f"checkpoint {old} meta.train line {line}: unknown key 'tau'" in capsys.readouterr().err
         assert not out.exists()
 
+    BACKBONE_DEFECTS = {  # a meta.backbone line the backbone cannot be built from -> the field named
+        "stage_channels = (16, 0, 64)": "stage_channels",  # once a ZeroDivisionError from kaiming
+        "stage_channels = (16, -32, 64)": "stage_channels",  # once numpy's "negative dimensions"
+        "embed_dim = -3": "embed_dim",
+        "input_hw = (32,)": "input_hw",  # once "not enough values to unpack"
+        "heads = 0": "heads",  # once accepted by a baseline checkpoint
+    }
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("line", list(BACKBONE_DEFECTS))
+    def test_a_backbone_that_cannot_be_built_is_refused_naming_the_field(
+        self, workspace, tmp_path, line, command, capsys
+    ):
+        """Exit 1 naming the field: main returns instead of raising, so the console prints no traceback."""
+        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        text = entries["meta.backbone"].astype(np.uint8).tobytes() + b"\n" + line.encode()
+        entries["meta.backbone"] = np.frombuffer(text, np.uint8).astype(np.float64)  # the later line wins
+        old, out = tmp_path / "old.bin", tmp_path / "fresh"
+        save_checkpoint(old, entries)
+        assert main(checkpoint_argv(workspace, command, old, out)) == 1
+        assert f"error: {self.BACKBONE_DEFECTS[line]} must" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("defect", ["missing", "reshaped"])
     def test_a_checkpoint_without_a_fitting_entry_exits_two_naming_it(

@@ -1,6 +1,7 @@
 """DBSCAN against a transitive-closure oracle, plus distance contracts."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -295,15 +296,24 @@ class TestDbscan:
             dbscan(dist, 0.4, 0)
 
 
+class TestPseudoLabels:
+    def test_the_count_is_read_from_the_labels(self):
+        """k is one more than the largest label and 0 without a cluster; the labels are the only field."""
+        assert [f.name for f in fields(PseudoLabels)] == ["labels"]
+        assert PseudoLabels(np.array([0, -1, 2, 1])).k == 3
+        assert PseudoLabels(np.full(3, -1)).k == 0
+        assert PseudoLabels(np.zeros(0, dtype=np.int64)).k == 0
+
+
 class TestClusterSummary:
     def test_hand_case(self):
-        stats = cluster_summary(PseudoLabels(np.array([0, 0, 1, -1]), k=2))
+        stats = cluster_summary(PseudoLabels(np.array([0, 0, 1, -1])))
         assert stats.k == 2
         np.testing.assert_array_equal(stats.sizes, [2, 1])
         assert stats.noise_fraction == 0.25
 
     def test_all_noise(self):
-        stats = cluster_summary(PseudoLabels(np.full(5, -1), k=0))
+        stats = cluster_summary(PseudoLabels(np.full(5, -1)))
         assert stats.k == 0 and stats.noise_fraction == 1.0
 
     def test_counts_add_up(self):
@@ -322,8 +332,8 @@ class TestClusterMembers:
         for _ in range(20):
             raw = rng.integers(-1, 9, size=int(rng.integers(1, 60)))
             k = int(raw.max()) + 1
-            groups = cluster_members(PseudoLabels(raw, k=k))
+            groups = cluster_members(PseudoLabels(raw))
             assert len(groups) == k
             for cid, members in enumerate(groups):
                 np.testing.assert_array_equal(members, np.flatnonzero(raw == cid))
-        assert cluster_members(PseudoLabels(np.full(4, -1), k=0)) == []
+        assert cluster_members(PseudoLabels(np.full(4, -1))) == []

@@ -1,6 +1,7 @@
 """Memory dictionary lifecycle and the cluster contrastive loss."""
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ class TestInitMemory:
     def test_singleton_cluster_copies_its_feature(self):
         """A one-member cluster's centroid is that member, bit for bit."""
         f = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        labels = PseudoLabels(np.array([0, 1, 1]), k=2)
+        labels = PseudoLabels(np.array([0, 1, 1]))
         mem = init_memory(f, labels, seed=0)
         assert mem.centroids[0].tobytes() == f[0].tobytes()
 
     def test_same_seed_same_selection(self):
         rng = np.random.default_rng(1)
         f = unit_rows(rng, 12, 4)
-        labels = PseudoLabels(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2, -1, -1]), k=3)
+        labels = PseudoLabels(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2, -1, -1]))
         a = init_memory(f, labels, seed=9)
         b = init_memory(f, labels, seed=9)
         assert a.centroids.tobytes() == b.centroids.tobytes()
@@ -37,7 +38,7 @@ class TestInitMemory:
         rng = np.random.default_rng(2)
         f = unit_rows(rng, 20, 5)
         lab = np.array([i % 4 for i in range(20)])
-        labels = PseudoLabels(lab, k=4)
+        labels = PseudoLabels(lab)
         mem = init_memory(f, labels, seed=3)
         for cid in range(4):
             members = f[lab == cid]
@@ -46,7 +47,7 @@ class TestInitMemory:
     def test_noise_never_selected(self):
         """Noise rows cannot become centroids even when closest."""
         f = np.array([[1.0, 0.0], [0.0, 1.0]])
-        labels = PseudoLabels(np.array([0, -1]), k=1)
+        labels = PseudoLabels(np.array([0, -1]))
         for seed in range(10):
             mem = init_memory(f, labels, seed=seed)
             assert mem.centroids[0].tobytes() == f[0].tobytes()
@@ -57,7 +58,7 @@ class TestInitMemory:
         rng = np.random.default_rng(50 + seed)
         f = unit_rows(rng, 150, 6)
         raw = rng.integers(-1, 17, size=150)
-        labels = PseudoLabels(raw, k=int(raw.max()) + 1)
+        labels = PseudoLabels(raw)
         pick = np.random.default_rng(seed)
         want = np.zeros((labels.k, 6))
         for cid in range(labels.k):
@@ -67,54 +68,54 @@ class TestInitMemory:
 
     def test_empty_clustering_raises(self):
         with pytest.raises(ContractError, match="no clusters"):
-            init_memory(np.zeros((3, 2)), PseudoLabels(np.full(3, -1), k=0), seed=0)
+            init_memory(np.zeros((3, 2)), PseudoLabels(np.full(3, -1)), seed=0)
 
     def test_memory_has_the_fixed_temperature_and_momentum(self):
-        """Cluster Contrast's tau and mu are constants, not arguments."""
-        memory = init_memory(np.ones((1, 2)), PseudoLabels(np.array([0]), k=1), seed=0)
-        assert (memory.tau, memory.mu) == (TAU, MU) == (0.05, 0.1)
+        """Cluster Contrast's tau and mu are constants, not arguments: the memory is its centroids."""
+        assert (TAU, MU) == (0.05, 0.1)
+        assert [f.name for f in fields(MemoryDictionary)] == ["centroids"]
         assert list(inspect.signature(init_memory).parameters) == ["features", "labels", "seed"]
 
 
 class TestClusterNceLoss:
     def test_single_cluster_loss_is_exactly_zero(self):
         """With K=1 the only logit is the target, so the loss is exact 0.0."""
-        mem = MemoryDictionary(np.array([[1.0, 0.0]]), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(np.array([[1.0, 0.0]]))
         x = Tensor(np.array([[0.6, 0.8], [1.0, 0.0]]))
         loss = cluster_nce_loss(x, np.array([0, 0]), mem)
         assert loss.item() == 0.0
 
     def test_orthogonal_centroids_hand_value(self):
-        """x equal to its target among two orthogonal centroids gives log(1+e^-1)."""
-        mem = MemoryDictionary(np.eye(2), tau=1.0, mu=0.1)
-        x = Tensor(np.array([[1.0, 0.0]]))
+        """x at 45 degrees between two orthogonal centroids ties their logits: log 2."""
+        mem = MemoryDictionary(np.eye(2))
+        x = Tensor(np.array([[1.0, 1.0]]) / np.sqrt(2.0))
         loss = cluster_nce_loss(x, np.array([0]), mem)
-        np.testing.assert_allclose(loss.item(), np.log(1.0 + np.exp(-1.0)), atol=1e-9)
+        np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-9)
 
     def test_matches_direct_formula(self):
         """Random batches match a direct exp/log evaluation of the loss."""
         rng = np.random.default_rng(4)
-        mem = MemoryDictionary(unit_rows(rng, 5, 6), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(unit_rows(rng, 5, 6))
         x = unit_rows(rng, 8, 6)
         targets = rng.integers(0, 5, size=8)
         got = cluster_nce_loss(Tensor(x), targets, mem).item()
-        logits = x @ mem.centroids.T / mem.tau
+        logits = x @ mem.centroids.T / TAU
         ref = np.mean(
             [np.log(np.exp(row).sum()) - row[t] for row, t in zip(logits, targets)]
         )
         np.testing.assert_allclose(got, ref, atol=1e-9)
 
     def test_extreme_temperature_is_stable(self):
-        """tau=0.01 logits reach +-100 without overflowing."""
-        mem = MemoryDictionary(np.eye(2), tau=0.01, mu=0.1)
-        aligned = cluster_nce_loss(Tensor(np.array([[1.0, 0.0]])), np.array([0]), mem).item()
-        confused = cluster_nce_loss(Tensor(np.array([[0.0, 1.0]])), np.array([0]), mem).item()
+        """Logits of 100 (a feature of norm 5 at TAU) do not overflow."""
+        mem = MemoryDictionary(np.eye(2))
+        aligned = cluster_nce_loss(Tensor(np.array([[5.0, 0.0]])), np.array([0]), mem).item()
+        confused = cluster_nce_loss(Tensor(np.array([[0.0, 5.0]])), np.array([0]), mem).item()
         assert np.isfinite(aligned) and np.isfinite(confused)
         assert aligned < 1e-9 and confused > 10.0
 
     def test_monotone_in_target_similarity(self):
         """Loss strictly falls as x rotates toward its target centroid."""
-        mem = MemoryDictionary(np.eye(2), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(np.eye(2))
         losses = []
         for angle in np.linspace(np.pi / 2, 0.0, 50):
             x = Tensor(np.array([[np.cos(angle), np.sin(angle)]]))
@@ -127,13 +128,13 @@ class TestClusterNceLoss:
         cents = unit_rows(rng, 6, 4)
         x = Tensor(unit_rows(rng, 3, 4))
         targets = np.zeros(3, dtype=int)
-        base = cluster_nce_loss(x, targets, MemoryDictionary(cents, 0.05, 0.1)).item()
+        base = cluster_nce_loss(x, targets, MemoryDictionary(cents)).item()
         shuffled = np.concatenate([cents[:1], cents[1:][::-1]])
-        other = cluster_nce_loss(x, targets, MemoryDictionary(shuffled, 0.05, 0.1)).item()
+        other = cluster_nce_loss(x, targets, MemoryDictionary(shuffled)).item()
         np.testing.assert_allclose(base, other, atol=1e-12)
 
     def test_out_of_range_target_rejected(self):
-        mem = MemoryDictionary(np.eye(2), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(np.eye(2))
         with pytest.raises(ContractError, match="targets"):
             cluster_nce_loss(Tensor(np.eye(2)), np.array([0, 2]), mem)
         with pytest.raises(ContractError, match="targets"):
@@ -143,7 +144,7 @@ class TestClusterNceLoss:
     def test_gradients(self, seed):
         """Loss gradients w.r.t. features pass finite differences on 5 seeds."""
         rng = np.random.default_rng(seed + 50)
-        mem = MemoryDictionary(unit_rows(rng, 4, 5), tau=0.5, mu=0.1)
+        mem = MemoryDictionary(unit_rows(rng, 4, 5))
         targets = rng.integers(0, 4, size=3)
         x0 = unit_rows(rng, 3, 5)
         err = finite_diff_check(lambda t: cluster_nce_loss(t, targets, mem), x0)
@@ -151,24 +152,10 @@ class TestClusterNceLoss:
 
 
 class TestBatchHardUpdate:
-    def test_mu_zero_adopts_hardest_member(self):
-        """mu=0 replaces the centroid with the least-similar batch member."""
-        mem = MemoryDictionary(np.array([[1.0, 0.0]]), tau=0.05, mu=0.0)
-        batch = np.array([[1.0, 0.0], [0.0, 1.0]])  # sims 1.0 and 0.0
-        batch_hard_update(mem, batch, np.array([0, 0]))
-        assert mem.centroids[0].tobytes() == batch[1].tobytes()
-
-    def test_mu_one_keeps_centroid(self):
-        """mu=1 leaves an exactly-unit centroid bit-identical."""
-        mem = MemoryDictionary(np.array([[0.0, 1.0]]), tau=0.05, mu=1.0)
-        before = mem.centroids.copy()
-        batch_hard_update(mem, np.array([[1.0, 0.0]]), np.array([0]))
-        assert mem.centroids.tobytes() == before.tobytes()
-
     def test_hand_computed_blend(self):
         """The 0.2-similarity member wins and the blend matches by hand."""
         c = np.array([1.0, 0.0])
-        mem = MemoryDictionary(c[None, :].copy(), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(c[None, :].copy())
         easy = np.array([0.9, np.sqrt(1 - 0.81)])  # sim 0.9
         hard = np.array([0.2, np.sqrt(1 - 0.04)])  # sim 0.2
         batch_hard_update(mem, np.stack([easy, hard]), np.array([0, 0]))
@@ -177,16 +164,18 @@ class TestBatchHardUpdate:
         np.testing.assert_allclose(mem.centroids[0], expect, atol=1e-12)
 
     def test_tie_breaks_to_first_member(self):
-        """Equal similarities select the earliest batch member."""
-        mem = MemoryDictionary(np.array([[1.0, 0.0]]), tau=0.05, mu=0.0)
+        """Equal similarities select the earliest batch member, blended in at MU."""
+        c = np.array([1.0, 0.0])
+        mem = MemoryDictionary(c[None, :].copy())
         batch = np.array([[0.0, 1.0], [0.0, -1.0]])  # both sim 0.0
         batch_hard_update(mem, batch, np.array([0, 0]))
-        assert mem.centroids[0].tobytes() == batch[0].tobytes()
+        blended = MU * c + (1.0 - MU) * batch[0]
+        np.testing.assert_allclose(mem.centroids[0], blended / np.linalg.norm(blended), atol=1e-12)
 
     def test_absent_clusters_untouched(self):
         """Clusters outside the batch keep bit-identical representatives."""
         rng = np.random.default_rng(6)
-        mem = MemoryDictionary(unit_rows(rng, 5, 4), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(unit_rows(rng, 5, 4))
         before = mem.centroids.copy()
         batch = unit_rows(rng, 4, 4)
         batch_hard_update(mem, batch, np.array([1, 1, 3, 3]))
@@ -198,7 +187,7 @@ class TestBatchHardUpdate:
     def test_norms_stay_unit_over_many_updates(self):
         """A long random update sequence never drifts off the unit sphere."""
         rng = np.random.default_rng(7)
-        mem = MemoryDictionary(unit_rows(rng, 3, 6), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(unit_rows(rng, 3, 6))
         for _ in range(200):
             batch = unit_rows(rng, 6, 6)
             targets = rng.integers(0, 3, size=6)

@@ -5,7 +5,7 @@ import pytest
 
 from mlareid.backbone import BackboneConfig, build_backbone, forward_to_featuremap
 from mlareid.autodiff import Tensor, add, matmul, mul, tmean, tsum, zero_grads
-from mlareid.contrast import MemoryDictionary
+from mlareid.contrast import TAU, MemoryDictionary
 from mlareid.dataio import ImageRecord, read_ppm, stack_pixels
 from mlareid.errors import ContractError
 from mlareid.evalviz import (
@@ -242,7 +242,7 @@ class TestGradCam:
         """grad_cam_heatmap equals recomputing the map from a manual backward."""
         params = tiny_backbone()
         record = tiny_record()
-        mem = MemoryDictionary(np.eye(6)[:3], tau=0.05, mu=0.1)
+        mem = MemoryDictionary(np.eye(6)[:3])
         hm = grad_cam_heatmap(record, params, memory=mem, cluster_id=2)
 
         from mlareid.autodiff import l2_normalize
@@ -251,7 +251,7 @@ class TestGradCam:
         fmap = Tensor(forward_to_featuremap(x, params, training=False).data, requires_grad=True)
         projected = add(matmul(tmean(fmap, axis=(1, 2)), params.embed_w), params.embed_b)
         feat = l2_normalize(projected, axis=-1)
-        tsum(mul(feat, Tensor(mem.centroids[2][None, :] / mem.tau))).backward()
+        tsum(mul(feat, Tensor(mem.centroids[2][None, :] / TAU))).backward()
         expect = cam_from_gradients(fmap.data[0], fmap.grad[0])
         np.testing.assert_allclose(hm.grid, expect, atol=1e-10)
 
@@ -285,7 +285,7 @@ class TestGradCam:
 
     def test_invalid_cluster_id_rejected(self):
         params = tiny_backbone()
-        mem = MemoryDictionary(np.eye(6)[:3], tau=0.05, mu=0.1)
+        mem = MemoryDictionary(np.eye(6)[:3])
         with pytest.raises(ContractError, match="cluster id"):
             grad_cam_heatmap(tiny_record(), params, memory=mem, cluster_id=3)
         with pytest.raises(ContractError, match="cluster id"):
@@ -297,7 +297,7 @@ class TestGradCam:
         records = [tiny_record(seed) for seed in range(4)]
         # each image's own embedding is a centroid, in reverse order, so each picks another cluster
         own = extract_all_features(stack_pixels(records), params)
-        mem = MemoryDictionary(own[::-1].copy(), tau=0.05, mu=0.1)
+        mem = MemoryDictionary(own[::-1].copy())
         for i, record in enumerate(records):
             feature = extract_all_features(record.raw[None, ...], params)[0]
             nearest = int(np.argmax(mem.centroids @ feature))

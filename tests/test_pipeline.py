@@ -5,7 +5,7 @@ import hashlib
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from mlareid.autodiff import Parameter, Tensor
 from mlareid.pipeline import (
     REPORT_HEADER,
     AdamState,
+    EpochReport,
     RunState,
     TrainConfig,
     _augment_batch,
@@ -33,11 +34,6 @@ from mlareid.pipeline import (
     run_training,
 )
 from conftest import pin_cores, tiny_backbone, within
-
-
-def labels_of(raw) -> PseudoLabels:
-    raw = np.asarray(raw)
-    return PseudoLabels(labels=raw, k=int(raw.max()) + 1 if (raw >= 0).any() else 0)
 
 
 def random_bytes(rng, shape):
@@ -74,14 +70,14 @@ def tiny_dataset(tmp_path_factory):
 class TestPkSampler:
     def test_exact_fit_single_batch(self):
         """2 clusters of 4 with P=2, K=4 fit one batch holding all 8 samples."""
-        pl = labels_of([0, 0, 0, 0, 1, 1, 1, 1])
+        pl = PseudoLabels(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
         batches = pk_sampler(pl, p=2, k_img=4, seed=0)
         assert len(batches) == 1
         assert sorted(batches[0].tolist()) == list(range(8))
 
     def test_replacement_fills_small_cluster(self):
         """A 2-member cluster still contributes K_img slots, each member once."""
-        pl = labels_of([0, 0, 1, 1, 1, 1])
+        pl = PseudoLabels(np.array([0, 0, 1, 1, 1, 1]))
         batches = pk_sampler(pl, p=2, k_img=4, seed=3)
         (batch,) = batches
         small = [i for i in batch if i in (0, 1)]
@@ -92,7 +88,7 @@ class TestPkSampler:
         """Every batch holds exactly P distinct clusters times K_img samples."""
         rng = np.random.default_rng(0)
         raw = rng.integers(-1, 7, size=60)
-        pl = labels_of(raw)
+        pl = PseudoLabels(raw)
         for batch in pk_sampler(pl, p=3, k_img=2, seed=5):
             assert batch.size == 6
             cids = raw[batch]
@@ -100,14 +96,14 @@ class TestPkSampler:
 
     def test_noise_never_sampled(self):
         raw = np.array([0, 0, 0, -1, -1, 1, 1, 1, -1, 2, 2, 2])
-        pl = labels_of(raw)
+        pl = PseudoLabels(raw)
         for batch in pk_sampler(pl, p=2, k_img=3, seed=9):
             assert (raw[batch] >= 0).all()
 
     def test_epoch_covers_every_cluster(self):
         rng = np.random.default_rng(4)
         raw = rng.integers(0, 9, size=80)
-        pl = labels_of(raw)
+        pl = PseudoLabels(raw)
         seen = set()
         for batch in pk_sampler(pl, p=4, k_img=2, seed=2):
             seen.update(raw[batch].tolist())
@@ -115,7 +111,7 @@ class TestPkSampler:
 
     def test_seeded_replay_identical(self):
         raw = np.random.default_rng(7).integers(-1, 5, size=50)
-        pl = labels_of(raw)
+        pl = PseudoLabels(raw)
         a = pk_sampler(pl, p=2, k_img=3, seed=42)
         b = pk_sampler(pl, p=2, k_img=3, seed=42)
         assert len(a) == len(b)
@@ -148,13 +144,13 @@ class TestPkSampler:
             return batches
 
         raw = np.random.default_rng(100 + seed).integers(-1, 23, size=200)
-        pl = labels_of(raw)
+        pl = PseudoLabels(raw)
         got = pk_sampler(pl, p=4, k_img=6, seed=seed)  # 23 clusters: a padded last chunk
         want = loop_sampler(pl, p=4, k_img=6, seed=seed)
         assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
     def test_too_few_clusters_rejected(self):
-        pl = labels_of([0, 0, 0, 1, 1, 1])
+        pl = PseudoLabels(np.array([0, 0, 0, 1, 1, 1]))
         with pytest.raises(ContractError, match="P=3"):
             pk_sampler(pl, p=3, k_img=2, seed=0)
 
@@ -225,6 +221,15 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         np.testing.assert_allclose(p.data, ref, atol=1e-15)
+
+
+class TestEpochReport:
+    def test_skipped_is_read_from_the_batch_count(self):
+        """An iteration that trains runs at least one batch, so no batch means skipped."""
+        assert "skipped" not in [f.name for f in fields(EpochReport)]
+        report = EpochReport(iteration=0, k=1, noise_frac=1.0, mean_loss=0.0, lr=0.1, batches=0, seconds=0.0)
+        assert report.skipped and not replace(report, batches=3).skipped
+        assert report.csv_row().split(",")[REPORT_HEADER.split(",").index("skipped")] == "1"
 
 
 class TestConfig:

@@ -844,7 +844,7 @@ class TestParallelBackward:
         rng = np.random.default_rng(MODES.index(mode))
         params = build_backbone(tiny_backbone(mode), 5)
         centroids = rng.standard_normal((3, 4))
-        memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True), 0.05, 0.1)
+        memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True))
         images = Tensor(rng.uniform(0.0, 1.0, (12, 16, 16, 3)))
         cluster_nce_loss(extract_features(images, params, training=True), np.arange(12) % 3, memory).backward()
         return b"".join(p.grad.tobytes() for p in parameters(params))
