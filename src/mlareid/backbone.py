@@ -1,7 +1,8 @@
 """A small residual encoder whose last block is the attention block.
 
-Three stride-2 stages shrink the input by 8x in each spatial dimension;
-the final residual block of the last stage is swapped for the MLA block,
+Three stride-2 stages of two blocks each (16, 32 and 64 channels) shrink
+the input by 8x in each spatial dimension; this trunk is fixed, as in the
+paper. The final residual block of the last stage is swapped for the MLA block,
 and an embedding head (global average pool, linear projection, L2 norm)
 produces unit-norm feature vectors for clustering and retrieval.
 """
@@ -26,54 +27,37 @@ from .autodiff import (
 from .errors import ConfigError, DimensionError
 from .layers import BnParams, init_bn, init_shortcut, kaiming, parameters, shortcut, state_entries
 
+# The one trunk every run trains; only the attention block varies (attention_mode).
+STAGE_CHANNELS = (16, 32, 64)
+BLOCKS_PER_STAGE = (2, 2, 2)
+EMBED_DIM = 64
+HEADS = 4
+C_MID = STAGE_CHANNELS[-1] // 2  # the attention block's inner width
+C_K = C_MID // 2  # domain slots
+STRIDE = 2 ** len(STAGE_CHANNELS)  # each stage halves both extents
+
 
 @dataclass
 class BackboneConfig:
     input_hw: tuple[int, int] = (64, 32)
-    stage_channels: tuple[int, ...] = (16, 32, 64)
-    blocks_per_stage: tuple[int, ...] = (2, 2, 2)
-    embed_dim: int = 64
     attention_mode: str = "all"
-    heads: int = 4
 
     @property
     def final_hw(self) -> tuple[int, int]:
         h, w = self.input_hw
-        scale = 2 ** len(self.stage_channels)
-        return h // scale, w // scale
-
-    @property
-    def c_mid(self) -> int:
-        return self.stage_channels[-1] // 2
-
-    @property
-    def c_k(self) -> int:
-        return self.c_mid // 2
+        return h // STRIDE, w // STRIDE
 
     def validate(self) -> None:
-        if len(self.stage_channels) != len(self.blocks_per_stage):
-            raise ConfigError(
-                f"stage_channels ({len(self.stage_channels)}) and blocks_per_stage "
-                f"({len(self.blocks_per_stage)}) lengths differ"
-            )
-        if not self.stage_channels:
-            raise ConfigError("at least one stage is required")
         if len(self.input_hw) != 2:
             raise ConfigError(f"input_hw must be two extents (height, width), got {self.input_hw}")
-        for name in ("stage_channels", "blocks_per_stage", "embed_dim", "heads"):
-            if np.min(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         h, w = self.input_hw
-        scale = 2 ** len(self.stage_channels)
-        if h % scale or w % scale:
-            raise ConfigError(f"input {h}x{w} is not divisible by the total stride {scale}")
+        if h % STRIDE or w % STRIDE:
+            raise ConfigError(f"input {h}x{w} is not divisible by the total stride {STRIDE}")
         fh, fw = self.final_hw
         if fh < 2 or fw < 2:
             raise ConfigError(
                 f"final feature map {fh}x{fw} is below 2x2; attention needs multiple positions"
             )
-        if self.c_mid < 1 or self.c_k < 1:
-            raise ConfigError(f"last stage width {self.stage_channels[-1]} is too narrow")
 
 
 @dataclass
@@ -131,28 +115,18 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 
     params = BackboneParams(
         cfg=cfg,
-        stem=Parameter("backbone.stem", kaiming(trunk_rng, (3, 3, 3, cfg.stage_channels[0]))),
-        stem_bn=init_bn(cfg.stage_channels[0], "backbone.stem_bn"),
+        stem=Parameter("backbone.stem", kaiming(trunk_rng, (3, 3, 3, STAGE_CHANNELS[0]))),
+        stem_bn=init_bn(STAGE_CHANNELS[0], "backbone.stem_bn"),
     )
-    c_prev = cfg.stage_channels[0]
-    for s, (c_out, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage)):
+    c_prev = STAGE_CHANNELS[0]
+    for s, (c_out, n_blocks) in enumerate(zip(STAGE_CHANNELS, BLOCKS_PER_STAGE)):
         for b in range(n_blocks):
             stride = 2 if b == 0 else 1
-            is_last = s == len(cfg.stage_channels) - 1 and b == n_blocks - 1
+            is_last = s == len(STAGE_CHANNELS) - 1 and b == n_blocks - 1
             if is_last:
-                fh, fw = cfg.final_hw
                 params.mla = init_mla_block(
-                    np.random.default_rng(mla_ss),
-                    c_prev,
-                    cfg.c_mid,
-                    c_out,
-                    cfg.attention_mode,
-                    cfg.heads,
-                    cfg.c_k,
-                    fh,
-                    fw,
-                    "mla",
-                    stride=stride,
+                    np.random.default_rng(mla_ss), c_prev, C_MID, c_out, cfg.attention_mode,
+                    HEADS, C_K, *cfg.final_hw, "mla", stride=stride,
                 )
             else:
                 params.blocks.append(
@@ -162,9 +136,9 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 
     embed_rng = np.random.default_rng(embed_ss)
     params.embed_w = Parameter(
-        "backbone.embed.weight", kaiming(embed_rng, (cfg.stage_channels[-1], cfg.embed_dim))
+        "backbone.embed.weight", kaiming(embed_rng, (STAGE_CHANNELS[-1], EMBED_DIM))
     )
-    params.embed_b = Parameter("backbone.embed.bias", np.zeros(cfg.embed_dim))
+    params.embed_b = Parameter("backbone.embed.bias", np.zeros(EMBED_DIM))
     return params
 
 

@@ -34,9 +34,12 @@ class PseudoLabels:
 
 @dataclass
 class ClusterStats:
-    k: int
-    sizes: np.ndarray
+    sizes: np.ndarray  # members per cluster id
     noise_fraction: float
+
+    @property
+    def k(self) -> int:
+        return self.sizes.size
 
 
 DISTANCE_BLOCK = 128  # rows per in-place pass: 52 ms against 63 ms for whole-matrix passes at n = 4000
@@ -109,7 +112,7 @@ def cluster_summary(pl: PseudoLabels) -> ClusterStats:
     n = pl.labels.size
     sizes = np.bincount(pl.labels[pl.labels >= 0], minlength=pl.k)
     noise = n - int(sizes.sum())
-    return ClusterStats(k=pl.k, sizes=sizes, noise_fraction=noise / n if n else 0.0)
+    return ClusterStats(sizes=sizes, noise_fraction=noise / n if n else 0.0)
 
 
 def cluster_members(pl: PseudoLabels) -> list[np.ndarray]:

@@ -28,11 +28,7 @@ import numpy as np
 from .attention import MODES
 from .autodiff import Parameter, Tensor, fold_running, no_grad, usable_cores, zero_grads
 from .backbone import (
-    BackboneConfig,
-    BackboneParams,
-    build_backbone,
-    extract_features,
-    named_entries,
+    EMBED_DIM, BackboneConfig, BackboneParams, build_backbone, extract_features, named_entries,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import (
@@ -417,17 +413,20 @@ def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
 def _stored_config(entries: dict[str, np.ndarray], name: str, default, path):
     """The config stored as ``config_lines`` text under ``name``, applied to ``default``."""
     lines = _stored_text(entries, name, path).splitlines()
-    where = [f"checkpoint {path} {name} line {i + 1}" for i in range(len(lines))]
-    return apply_config_lines(default, lines, where)
+    try:
+        return apply_config_lines(default, lines, [f"line {i + 1}" for i in range(len(lines))])
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path} {name}: {exc}") from None
 
 
-def _refuse_changes(what: str, stored, given, may_grow: str | None = None) -> None:
-    """ConfigError naming every field of ``given`` that differs from the checkpoint's."""
+def _refuse_changes(stored: TrainConfig, given: TrainConfig) -> None:
+    """ConfigError naming every field of ``given`` that differs from the checkpoint's,
+    but for a larger ``clustering_iterations``."""
     old, new = vars(stored), vars(given)
     changed = [f"{k} (checkpoint {old[k]!r}, given {new[k]!r})" for k in old
-               if new[k] != old[k] and not (k == may_grow and new[k] > old[k])]
+               if new[k] != old[k] and not (k == "clustering_iterations" and new[k] > old[k])]
     if changed:
-        raise ConfigError(f"{what} differs from the checkpoint's: {', '.join(changed)}")
+        raise ConfigError(f"train config differs from the checkpoint's: {', '.join(changed)}")
 
 
 def save_run_checkpoint(path: str | Path, state: RunState) -> None:
@@ -451,14 +450,16 @@ def _load_trained(
     """The checkpoint's train config, backbone, final memory (if saved) and raw entries."""
     entries = load_checkpoint(path)
     train_cfg = _stored_config(entries, "meta.train", TrainConfig(), path)
-    backbone = build_backbone(
-        _stored_config(entries, "meta.backbone", BackboneConfig(), path), train_cfg.seed
-    )
+    backbone_cfg = _stored_config(entries, "meta.backbone", BackboneConfig(), path)
+    if backbone_cfg.attention_mode != train_cfg.attention_mode:
+        raise ConfigError(f"checkpoint {path} meta.train attention_mode {train_cfg.attention_mode!r} "
+                          f"differs from meta.backbone attention_mode {backbone_cfg.attention_mode!r}")
+    backbone = build_backbone(backbone_cfg, train_cfg.seed)
     for name, target in named_entries(backbone).items():
         target[...] = _stored(entries, name, path, target.shape)
     memory = None
     if "memory.centroids" in entries:
-        memory = MemoryDictionary(_stored(entries, "memory.centroids", path, (None, backbone.cfg.embed_dim)))
+        memory = MemoryDictionary(_stored(entries, "memory.centroids", path, (None, EMBED_DIM)))
     return train_cfg, backbone, memory, entries
 
 
@@ -472,7 +473,7 @@ def load_backbone_from_checkpoint(
 def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) -> RunState:
     """Rebuild a RunState from a checkpoint whose TrainConfig ``cfg`` and pixels match."""
     stored, backbone, memory, entries = _load_trained(path)
-    _refuse_changes("train config", stored, cfg, may_grow="clustering_iterations")
+    _refuse_changes(stored, cfg)
     stored_data = _stored_text(entries, "meta.data", path)
 
     t, iteration = (int(_stored(entries, name, path, (), top=2**53))  # float64 counts exactly up to 2**53
@@ -495,7 +496,6 @@ def run_training(
     cfg: TrainConfig,
     data_dir: str | Path,
     out_dir: str | Path,
-    backbone_cfg: BackboneConfig | None = None,
     resume_from: str | Path | None = None,
 ) -> tuple[Path, list[EpochReport]]:
     """Train for cfg.clustering_iterations, writing report.csv and checkpoint.bin."""
@@ -507,21 +507,10 @@ def run_training(
 
     if resume_from is not None:
         state = load_run_checkpoint(resume_from, cfg, pixels)
-        if backbone_cfg is not None:
-            _refuse_changes("backbone_cfg", state.backbone.cfg, backbone_cfg)
     else:
-        if backbone_cfg is None:
-            backbone_cfg = BackboneConfig(
-                input_hw=pixels.shape[1:3], attention_mode=cfg.attention_mode
-            )
-        elif backbone_cfg.attention_mode != cfg.attention_mode:
-            raise ConfigError("backbone_cfg.attention_mode must match cfg.attention_mode")
-        state = RunState(
-            cfg=cfg,
-            backbone=build_backbone(backbone_cfg, cfg.seed),
-            optim=AdamState(),
-            pixels=pixels,
-        )
+        backbone_cfg = BackboneConfig(input_hw=pixels.shape[1:3], attention_mode=cfg.attention_mode)
+        state = RunState(cfg=cfg, backbone=build_backbone(backbone_cfg, cfg.seed),
+                         optim=AdamState(), pixels=pixels)
     out = Path(out_dir)  # created only once the run is accepted
     out.mkdir(parents=True, exist_ok=True)
 

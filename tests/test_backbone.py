@@ -9,6 +9,7 @@ import pytest
 from mlareid.attention import MODES
 from mlareid.autodiff import Tensor, finite_diff_check
 from mlareid.backbone import (
+    EMBED_DIM,
     BackboneConfig,
     build_backbone,
     embed_from_featuremap,
@@ -21,7 +22,7 @@ from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.errors import ConfigError, DataFormatError, DimensionError
 from mlareid.layers import parameters
 from mlareid.pipeline import AdamState, RunState, TrainConfig, load_backbone_from_checkpoint, save_run_checkpoint
-from conftest import pin_cores, weighted_sum
+from conftest import pin_cores, small_backbone, weighted_sum
 
 # sha256 of the newline-joined named_entries() keys of the default config
 LAYOUT_SHA256 = {
@@ -34,22 +35,11 @@ LAYOUT_SHA256 = {
 }
 
 
-def tiny_config(mode="all"):
-    return BackboneConfig(
-        input_hw=(16, 8),
-        stage_channels=(4, 8),
-        blocks_per_stage=(1, 2),
-        embed_dim=6,
-        attention_mode=mode,
-        heads=2,
-    )
-
-
 class TestBuild:
     def test_same_seed_is_bit_identical(self):
         """Two builds from one seed agree on every parameter and stat."""
-        a = build_backbone(tiny_config(), 5)
-        b = build_backbone(tiny_config(), 5)
+        a = build_backbone(small_backbone(), 5)
+        b = build_backbone(small_backbone(), 5)
         ea, eb = named_entries(a), named_entries(b)
         assert ea.keys() == eb.keys()
         for name in ea:
@@ -65,13 +55,13 @@ class TestBuild:
         assert fmap.shape == (2, 8, 4, 64)
 
     def test_baseline_mode_allocates_no_attention(self):
-        params = build_backbone(tiny_config("baseline"), 1)
+        params = build_backbone(small_backbone("baseline"), 1)
         assert params.mla.pla is None and params.mla.hla is None and params.mla.dla is None
 
     def test_mode_swap_changes_only_the_last_block(self):
         """Trunk and embedding parameters are bit-identical across modes."""
-        a = build_backbone(tiny_config("all"), 7)
-        b = build_backbone(tiny_config("baseline"), 7)
+        a = build_backbone(small_backbone("all"), 7)
+        b = build_backbone(small_backbone("baseline"), 7)
         names_a = {p.name: p.data for p in parameters(a) if not p.name.startswith("mla.")}
         names_b = {p.name: p.data for p in parameters(b) if not p.name.startswith("mla.")}
         assert names_a.keys() == names_b.keys()
@@ -79,7 +69,7 @@ class TestBuild:
             assert names_a[name].tobytes() == names_b[name].tobytes(), name
 
     def test_dla_transposed_init_survives_build(self):
-        params = build_backbone(tiny_config("all"), 3)
+        params = build_backbone(small_backbone("all"), 3)
         k = params.mla.dla.k_d.data[0, 0]
         v = params.mla.dla.v_d.data[0, 0]
         assert v.tobytes() == k.T.copy().tobytes()
@@ -87,14 +77,13 @@ class TestBuild:
     @pytest.mark.parametrize(
         "cfg",
         [
-            BackboneConfig(input_hw=(4, 8), stage_channels=(4, 8), blocks_per_stage=(1, 2)),
-            BackboneConfig(stage_channels=(16, 32), blocks_per_stage=(2,)),
+            BackboneConfig(input_hw=(8, 16)),
             BackboneConfig(input_hw=(60, 32)),
             BackboneConfig(attention_mode="everything"),
         ],
     )
     def test_invalid_configs_rejected(self, cfg):
-        """Collapsed maps, length mismatches, bad strides and modes all fail."""
+        """Collapsed maps, bad strides and modes all fail."""
         with pytest.raises(ConfigError):
             build_backbone(cfg, 0)
 
@@ -102,38 +91,38 @@ class TestBuild:
 class TestForward:
     def test_zero_image_zero_stem_gives_zero_map(self):
         """With a zeroed stem and baseline mode a zero image stays zero."""
-        params = build_backbone(tiny_config("baseline"), 2)
+        params = build_backbone(small_backbone("baseline"), 2)
         params.stem.data[:] = 0.0
-        out = forward_to_featuremap(Tensor(np.zeros((1, 16, 8, 3))), params, training=False)
+        out = forward_to_featuremap(Tensor(np.zeros((1, 16, 16, 3))), params, training=False)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_eval_mode_is_idempotent(self):
         """Two eval-mode passes over one batch are bit-identical."""
-        params = build_backbone(tiny_config(), 4)
-        x = Tensor(np.random.default_rng(1).uniform(0, 1, size=(3, 16, 8, 3)))
+        params = build_backbone(small_backbone(), 4)
+        x = Tensor(np.random.default_rng(1).uniform(0, 1, size=(3, 16, 16, 3)))
         a = forward_to_featuremap(x, params, training=False).data
         b = forward_to_featuremap(x, params, training=False).data
         assert a.tobytes() == b.tobytes()
 
     def test_wrong_input_shape_raises(self):
-        params = build_backbone(tiny_config(), 4)
+        params = build_backbone(small_backbone(), 4)
         with pytest.raises(DimensionError, match="expects input"):
             forward_to_featuremap(Tensor(np.zeros((1, 8, 8, 3))), params, training=False)
 
     def test_training_mode_updates_running_stats(self):
         """A training pass moves the stem batch-norm running stats."""
-        params = build_backbone(tiny_config(), 8)
+        params = build_backbone(small_backbone(), 8)
         before = params.stem_bn.running_mean.copy()
-        x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 8, 3)))
+        x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 16, 3)))
         forward_to_featuremap(x, params, training=True)
         assert not np.array_equal(before, params.stem_bn.running_mean)
 
     def test_checkpoint_entries_are_the_arrays_training_moves(self):
         """Running stats update in place: entries named before a training pass hold its update."""
-        params = build_backbone(tiny_config(), 8)
+        params = build_backbone(small_backbone(), 8)
         entries = named_entries(params)
         before = entries["backbone.stem_bn.running_mean"].copy()
-        x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 8, 3)))
+        x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 16, 3)))
         forward_to_featuremap(x, params, training=True)
         assert entries["backbone.stem_bn.running_mean"] is params.stem_bn.running_mean
         assert entries["backbone.stem_bn.running_var"] is params.stem_bn.running_var
@@ -142,21 +131,21 @@ class TestForward:
 
 class TestFeatures:
     def test_rows_are_unit_norm(self):
-        params = build_backbone(tiny_config(), 6)
-        x = Tensor(np.random.default_rng(3).uniform(0, 1, size=(4, 16, 8, 3)))
+        params = build_backbone(small_backbone(), 6)
+        x = Tensor(np.random.default_rng(3).uniform(0, 1, size=(4, 16, 16, 3)))
         feats = extract_features(x, params, training=False).data
         np.testing.assert_allclose(np.linalg.norm(feats, axis=1), np.ones(4), atol=1e-9)
 
     def test_identical_images_identical_rows(self):
-        params = build_backbone(tiny_config(), 6)
-        img = np.random.default_rng(4).uniform(0, 1, size=(16, 8, 3))
+        params = build_backbone(small_backbone(), 6)
+        img = np.random.default_rng(4).uniform(0, 1, size=(16, 16, 3))
         feats = extract_features(Tensor(np.stack([img, img])), params, training=False).data
         assert feats[0].tobytes() == feats[1].tobytes()
 
     def test_cosine_similarity_is_dot_product(self):
         """Unit-norm rows make dot product and cosine similarity coincide."""
-        params = build_backbone(tiny_config(), 6)
-        x = Tensor(np.random.default_rng(5).uniform(0, 1, size=(2, 16, 8, 3)))
+        params = build_backbone(small_backbone(), 6)
+        x = Tensor(np.random.default_rng(5).uniform(0, 1, size=(2, 16, 16, 3)))
         f = extract_features(x, params, training=False).data
         dot = float(f[0] @ f[1])
         cos = dot / (np.linalg.norm(f[0]) * np.linalg.norm(f[1]))
@@ -164,22 +153,18 @@ class TestFeatures:
 
     def test_embedding_gradients_against_finite_differences(self):
         """Gradients w.r.t. the embedding weight survive the deep composition."""
-        params = build_backbone(tiny_config(), 9)
-        x = Tensor(np.random.default_rng(6).uniform(0, 1, size=(1, 16, 8, 3)))
+        params = build_backbone(small_backbone(), 9)
+        x = Tensor(np.random.default_rng(6).uniform(0, 1, size=(1, 16, 16, 3)))
         fmap = forward_to_featuremap(x, params, training=False).detach()
-        target = Tensor(np.random.default_rng(7).standard_normal((1, 6)))
+        target = Tensor(np.random.default_rng(7).standard_normal((1, EMBED_DIM)))
         err = finite_diff_check(lambda _: weighted_sum(embed_from_featuremap(fmap, params), target), params.embed_w)
         assert err < 1e-3
 
     def test_full_network_input_gradients(self):
         """A whole-network scalar passes finite differences on a small input."""
-        cfg = BackboneConfig(
-            input_hw=(8, 8), stage_channels=(4,), blocks_per_stage=(2,),
-            embed_dim=4, attention_mode="all", heads=2,
-        )
-        params = build_backbone(cfg, 11)
-        x0 = np.random.default_rng(8).uniform(0.1, 0.9, size=(1, 8, 8, 3))
-        v = np.random.default_rng(9).standard_normal((1, 4))
+        params = build_backbone(small_backbone(), 11)
+        x0 = np.random.default_rng(8).uniform(0.1, 0.9, size=(1, 16, 16, 3))
+        v = np.random.default_rng(9).standard_normal((1, EMBED_DIM))
 
         def run(t):
             return weighted_sum(extract_features(t, params, training=False), Tensor(v))
@@ -206,7 +191,7 @@ class TestTapeMemory:
         params = build_backbone(cfg, 0)
         rng = np.random.default_rng(7)
         images = Tensor(rng.uniform(0.0, 1.0, (16, *cfg.input_hw, 3)))
-        centroids = rng.standard_normal((4, cfg.embed_dim))
+        centroids = rng.standard_normal((4, EMBED_DIM))
         memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True))
         mib = 2.0 ** 20
         tracemalloc.start()
@@ -238,17 +223,17 @@ class TestEntries:
 
     def test_entries_round_trip_restores_features(self, tmp_path):
         """Loading a checkpoint of one backbone reproduces its features, not those of its seed."""
-        src = build_backbone(tiny_config(), 21)
-        x = Tensor(np.random.default_rng(10).uniform(0, 1, size=(2, 16, 8, 3)))
+        src = build_backbone(small_backbone(), 21)
+        x = Tensor(np.random.default_rng(10).uniform(0, 1, size=(2, 16, 16, 3)))
         want = extract_features(x, src, training=False).data
         dst, _, _ = load_backbone_from_checkpoint(self.saved(tmp_path, src))
         assert extract_features(x, dst, training=False).data.tobytes() == want.tobytes()
-        fresh = build_backbone(tiny_config(), TrainConfig().seed)
+        fresh = build_backbone(small_backbone(), TrainConfig().seed)
         assert extract_features(x, fresh, training=False).data.tobytes() != want.tobytes()
 
     def test_missing_entry_rejected(self, tmp_path):
         """The loader requires every entry, naming the file and the one that is missing."""
-        params = build_backbone(tiny_config(), 23)
+        params = build_backbone(small_backbone(), 23)
         entries, bad = load_checkpoint(self.saved(tmp_path, params)), tmp_path / "bad.bin"
         for name in named_entries(params):
             save_checkpoint(bad, {k: v for k, v in entries.items() if k != name})
@@ -258,7 +243,7 @@ class TestEntries:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         """The loader checks every entry's shape, naming the file and the entry."""
-        params = build_backbone(tiny_config(), 24)
+        params = build_backbone(small_backbone(), 24)
         entries, bad = load_checkpoint(self.saved(tmp_path, params)), tmp_path / "bad.bin"
         for name, target in named_entries(params).items():
             save_checkpoint(bad, entries | {name: entries[name].reshape(-1, 1)})
@@ -274,6 +259,6 @@ class TestEntries:
         assert hashlib.sha256(names.encode()).hexdigest() == LAYOUT_SHA256[mode]
 
     def test_parameter_names_unique(self):
-        params = build_backbone(tiny_config(), 25)
+        params = build_backbone(small_backbone(), 25)
         names = [p.name for p in parameters(params)]
         assert len(names) == len(set(names))

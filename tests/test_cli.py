@@ -43,12 +43,22 @@ def subcommand_flags(name):
     return {s for a in sub.choices[name]._actions for s in a.option_strings} - {"-h", "--help"}
 
 
-def checkpoint_argv(workspace, command, checkpoint, out):
-    """A train --resume from, or an eval of, ``checkpoint`` with output under ``out``."""
+def checkpoint_argv(workspace, command, checkpoint, out, mode="baseline"):
+    """A train --resume in ``mode`` from, or an eval or heatmap of, ``checkpoint`` with output under ``out``."""
     if command == "train":
         return ["train", "--data", str(workspace / "data"), "--out", str(out),
-                "--iterations", "2", *RUN_FLAGS, "--resume", str(checkpoint)]
-    return ["eval", "--data", str(workspace / "data"), "--checkpoint", str(checkpoint), "--out", str(out)]
+                "--iterations", "2", *RUN_FLAGS, "--mode", mode, "--resume", str(checkpoint)]
+    return [command, "--data", str(workspace / "data"), "--checkpoint", str(checkpoint), "--out", str(out)]
+
+
+def with_line(workspace, tmp_path, entry, line):
+    """A copy of the workspace checkpoint whose ``entry`` text ends in ``line`` (a later line wins)."""
+    entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    text = entries[entry].astype(np.uint8).tobytes() + b"\n" + line.encode()
+    entries[entry] = np.frombuffer(text, np.uint8).astype(np.float64)
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, entries)
+    return path, len(text.splitlines())
 
 
 class TestDispatch:
@@ -236,40 +246,52 @@ class TestTrain:
         ]) == code
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_a_checkpoint_with_a_removed_key_is_refused_naming_it(self, workspace, tmp_path, command, capsys):
-        """A meta.train that still sets tau, now a constant, stops a resume and an eval alike."""
-        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
-        text = entries["meta.train"].astype(np.uint8).tobytes() + b"\ntau = 0.05"
-        entries["meta.train"] = np.frombuffer(text, np.uint8).astype(np.float64)
-        old, out = tmp_path / "old.bin", tmp_path / "fresh"
-        save_checkpoint(old, entries)
+    REMOVED_KEYS = {  # a key that is now a constant -> its entry and its line in an older checkpoint
+        "tau": ("meta.train", "tau = 0.05"),
+        "stage_channels": ("meta.backbone", "stage_channels = (16, 32, 64)"),
+        "blocks_per_stage": ("meta.backbone", "blocks_per_stage = (2, 2, 2)"),
+        "embed_dim": ("meta.backbone", "embed_dim = 64"),
+        "heads": ("meta.backbone", "heads = 4"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+    @pytest.mark.parametrize("key", list(REMOVED_KEYS))
+    def test_a_checkpoint_with_a_removed_key_is_refused_naming_it(self, workspace, tmp_path, key, command, capsys):
+        """A meta text that still sets a key now fixed in the code stops a resume, an eval and a heatmap alike."""
+        entry, line = self.REMOVED_KEYS[key]
+        old, number = with_line(workspace, tmp_path, entry, line)
+        out = tmp_path / "fresh"
         assert main(checkpoint_argv(workspace, command, old, out)) == 1
-        line = len(text.splitlines())  # the appended one
-        assert f"checkpoint {old} meta.train line {line}: unknown key 'tau'" in capsys.readouterr().err
+        assert f"checkpoint {old} {entry}: line {number}: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    BACKBONE_DEFECTS = {  # a meta.backbone line the backbone cannot be built from -> the field named
-        "stage_channels = (16, 0, 64)": "stage_channels",  # once a ZeroDivisionError from kaiming
-        "stage_channels = (16, -32, 64)": "stage_channels",  # once numpy's "negative dimensions"
-        "embed_dim = -3": "embed_dim",
-        "input_hw = (32,)": "input_hw",  # once "not enough values to unpack"
-        "heads = 0": "heads",  # once accepted by a baseline checkpoint
+    CONFIG_DEFECTS = {  # a meta line no config can be built from -> what the config's check says
+        ("meta.backbone", "input_hw = (60, 32)"): "input 60x32 is not divisible by the total stride 8",
+        ("meta.backbone", "input_hw = (32,)"): "input_hw must be two extents",  # once "not enough values to unpack"
+        ("meta.train", "eps = -1"): "lr0 and eps must be positive",
     }
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("line", list(BACKBONE_DEFECTS))
-    def test_a_backbone_that_cannot_be_built_is_refused_naming_the_field(
-        self, workspace, tmp_path, line, command, capsys
+    @pytest.mark.parametrize("entry, line", list(CONFIG_DEFECTS))
+    def test_a_config_that_cannot_be_built_is_refused_naming_the_entry(
+        self, workspace, tmp_path, entry, line, command, capsys
     ):
-        """Exit 1 naming the field: main returns instead of raising, so the console prints no traceback."""
-        entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
-        text = entries["meta.backbone"].astype(np.uint8).tobytes() + b"\n" + line.encode()
-        entries["meta.backbone"] = np.frombuffer(text, np.uint8).astype(np.float64)  # the later line wins
-        old, out = tmp_path / "old.bin", tmp_path / "fresh"
-        save_checkpoint(old, entries)
+        """Exit 1 naming the file, the entry and the field: main returns instead of raising, so the console
+        prints no traceback."""
+        old, _ = with_line(workspace, tmp_path, entry, line)
+        out = tmp_path / "fresh"
         assert main(checkpoint_argv(workspace, command, old, out)) == 1
-        assert f"error: {self.BACKBONE_DEFECTS[line]} must" in capsys.readouterr().err
+        assert f"error: checkpoint {old} {entry}: {self.CONFIG_DEFECTS[entry, line]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_checkpoint_whose_texts_name_two_modes_is_refused(self, workspace, tmp_path, command, capsys):
+        """A baseline network under a meta.train that says all is neither evaluated nor trained as all."""
+        old, _ = with_line(workspace, tmp_path, "meta.train", "attention_mode = all")
+        out = tmp_path / "fresh"
+        assert main(checkpoint_argv(workspace, command, old, out, mode="all")) == 1
+        assert (f"checkpoint {old} meta.train attention_mode 'all' differs from meta.backbone "
+                f"attention_mode 'baseline'") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])

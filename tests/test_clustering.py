@@ -8,6 +8,7 @@ import pytest
 
 from mlareid.clustering import (
     DISTANCE_BLOCK,
+    ClusterStats,
     PseudoLabels,
     cluster_members,
     cluster_summary,
@@ -315,6 +316,15 @@ class TestClusterSummary:
     def test_all_noise(self):
         stats = cluster_summary(PseudoLabels(np.full(5, -1)))
         assert stats.k == 0 and stats.noise_fraction == 1.0
+
+    def test_the_count_is_read_from_the_sizes(self):
+        """k is the number of sizes, also for a cluster id that no label names; no field stores it."""
+        assert "k" not in [f.name for f in fields(ClusterStats)]
+        stats = ClusterStats(sizes=np.array([3, 0, 1]), noise_fraction=0.0)
+        assert stats.k == 3 and type(stats.k) is int
+        for raw in ([0, 0, 1, -1], [-1, -1], [2, 2, 0, 1, -1]):
+            labels = PseudoLabels(np.array(raw))
+            assert cluster_summary(labels).k == labels.k
 
     def test_counts_add_up(self):
         """Cluster sizes plus noise count always recount to n."""

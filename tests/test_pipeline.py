@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mlareid.backbone import BackboneConfig, named_entries
+from mlareid.backbone import EMBED_DIM, BackboneConfig, named_entries
 from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.clustering import PseudoLabels
 from mlareid.dataio import ImageRecord, SynthSpec, decode, stack_pixels, synth_generate
@@ -33,7 +33,7 @@ from mlareid.pipeline import (
     pk_sampler,
     run_training,
 )
-from conftest import pin_cores, tiny_backbone, within
+from conftest import pin_cores, small_backbone, within
 
 
 def random_bytes(rng, shape):
@@ -43,28 +43,19 @@ def random_bytes(rng, shape):
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
-    """A small dataset plus an eps known to give the sampler enough clusters."""
+    """A small dataset plus an eps at which a seed-0 run trains in each of its first four iterations.
+
+    At eps 0.02 the clusters and batches of iterations 0-3 read (3, 2) (2, 1) (3, 2) (2, 1).
+    The smallest eps that finds two clusters before training, 0.005, trains no batch at
+    iterations 2 and 3.
+    """
     root = tmp_path_factory.mktemp("pipe")
     spec = SynthSpec(
         num_ids=6, images_per_id=6, num_cameras=2, image_hw=(16, 16),
         background_strength=0.6, seed=11,
     )
     synth_generate(spec, root / "data")
-
-    from mlareid.backbone import build_backbone
-    from mlareid.clustering import dbscan, pairwise_cosine_distance
-    from mlareid.dataio import load_dataset, stack_pixels
-    from mlareid.pipeline import bn_warmup, extract_all_features
-
-    pixels = stack_pixels([r for r in load_dataset(root / "data") if r.split == "train"])
-    params = build_backbone(tiny_backbone("all"), 0)
-    bn_warmup(params, pixels, 2)
-    dist = pairwise_cosine_distance(extract_all_features(pixels, params))
-    eps = next(
-        e for e in (0.002, 0.003, 0.005, 0.008, 0.012, 0.02, 0.03, 0.05)
-        if dbscan(dist, e, 2).k >= 2
-    )
-    return root / "data", eps
+    return root / "data", 0.02
 
 
 class TestPkSampler:
@@ -275,9 +266,8 @@ class TestConfig:
     def test_config_lines_roundtrip(self):
         cfg = TrainConfig(lr0=3e-4, attention_mode="dla", augment=True)
         assert apply_config_lines(TrainConfig(), config_lines(cfg)) == cfg
-        bb = BackboneConfig(input_hw=(16, 8), stage_channels=(8,), blocks_per_stage=(3,),
-                            embed_dim=5, attention_mode="pla+hla", heads=1)
-        assert "stage_channels = (8,)" in config_lines(bb)
+        bb = BackboneConfig(input_hw=(32, 16), attention_mode="pla+hla")
+        assert config_lines(bb) == ["input_hw = (32, 16)", "attention_mode = pla+hla"]
         assert apply_config_lines(BackboneConfig(), config_lines(bb)) == bb
 
 
@@ -291,20 +281,18 @@ class TestRunTraining:
     def test_zero_iterations_emits_initial_checkpoint(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=0)
-        ck, reports = run_training(cfg, data, tmp_path / "r",
-                                   backbone_cfg=tiny_backbone("all"))
+        ck, reports = run_training(cfg, data, tmp_path / "r")
         assert reports == []
         entries = load_checkpoint(ck)
         from mlareid.backbone import build_backbone
-        fresh = named_entries(build_backbone(tiny_backbone("all"), 0))
+        fresh = named_entries(build_backbone(small_backbone("all"), 0))
         for name, value in fresh.items():
             assert entries[name].tobytes() == value.tobytes()
 
     def test_first_iteration_takes_optimizer_steps(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=1)
-        ck, reports = run_training(cfg, data, tmp_path / "r",
-                                   backbone_cfg=tiny_backbone("all"))
+        ck, reports = run_training(cfg, data, tmp_path / "r")
         assert not reports[0].skipped
         assert reports[0].k >= 2
         assert int(load_checkpoint(ck)["optim.t"]) >= 1
@@ -312,7 +300,7 @@ class TestRunTraining:
     def test_report_csv_layout(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=2)
-        ck, reports = run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        ck, reports = run_training(cfg, data, tmp_path / "r")
         lines = (tmp_path / "r" / "report.csv").read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == 3
@@ -329,8 +317,7 @@ class TestRunTraining:
         outs = []
         for name in ("a", "b"):
             cfg = self.desk_cfg(eps, iters=2)
-            ck, reports = run_training(cfg, data, tmp_path / name,
-                                       backbone_cfg=tiny_backbone("all"))
+            ck, reports = run_training(cfg, data, tmp_path / name)
             assert reports and all(r.batches >= 1 for r in reports)  # runs that never trained prove nothing
             rows = [r.csv_row().rsplit(",", 1)[0] for r in reports]  # drop seconds
             outs.append((load_checkpoint(ck), rows))
@@ -343,11 +330,9 @@ class TestRunTraining:
     def test_resume_matches_straight_run(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg4 = self.desk_cfg(eps, iters=4)
-        ck4, rep4 = run_training(cfg4, data, tmp_path / "straight",
-                                 backbone_cfg=tiny_backbone("all"))
+        ck4, rep4 = run_training(cfg4, data, tmp_path / "straight")
         cfg2 = self.desk_cfg(eps, iters=2)
-        ck2, rep2 = run_training(cfg2, data, tmp_path / "half",
-                                 backbone_cfg=tiny_backbone("all"))
+        ck2, rep2 = run_training(cfg2, data, tmp_path / "half")
         ckr, repr_ = run_training(cfg4, data, tmp_path / "resumed",
                                   resume_from=ck2)
         for reports in (rep4, rep2, repr_):  # every compared iteration trained
@@ -363,15 +348,13 @@ class TestRunTraining:
     def test_resume_in_place_from_older_checkpoint_rewrites_report(self, tiny_dataset, tmp_path):
         """Resuming inside a longer run's directory replaces its later rows."""
         data, eps = tiny_dataset
-        ck2, _ = run_training(self.desk_cfg(eps, iters=2), data, tmp_path / "half",
-                              backbone_cfg=tiny_backbone("all"))
+        ck2, _ = run_training(self.desk_cfg(eps, iters=2), data, tmp_path / "half")
 
         def rows_without_seconds():
             lines = (tmp_path / "run" / "report.csv").read_text().splitlines()
             return [ln.rsplit(",", 1)[0] for ln in lines]
 
-        run_training(self.desk_cfg(eps, iters=4), data, tmp_path / "run",
-                     backbone_cfg=tiny_backbone("all"))
+        run_training(self.desk_cfg(eps, iters=4), data, tmp_path / "run")
         straight = rows_without_seconds()
         run_training(self.desk_cfg(eps, iters=4), data, tmp_path / "run", resume_from=ck2)
         assert rows_without_seconds() == straight
@@ -383,16 +366,14 @@ class TestRunTraining:
         data, eps = tiny_dataset
         cfg = self.desk_cfg(1e-9, iters=1)
         cfg.min_pts = 4
-        ck, reports = run_training(cfg, data, tmp_path / "r",
-                                   backbone_cfg=tiny_backbone("all"))
+        ck, reports = run_training(cfg, data, tmp_path / "r")
         assert reports[0].skipped
         assert reports[0].mean_loss == 0.0
         assert reports[0].batches == 0
         row = (tmp_path / "r" / "report.csv").read_text().splitlines()[1]
         assert dict(zip(REPORT_HEADER.split(","), row.split(",")))["skipped"] == "1"
         cfg0 = self.desk_cfg(eps, iters=0)
-        ck0, _ = run_training(cfg0, data, tmp_path / "r0",
-                              backbone_cfg=tiny_backbone("all"))
+        ck0, _ = run_training(cfg0, data, tmp_path / "r0")
         trained = load_checkpoint(ck)
         fresh = load_checkpoint(ck0)
         # identical weights modulo the bn stats the warmup pass touched
@@ -409,7 +390,7 @@ class TestRunTraining:
         monkeypatch.setattr(mlareid.pipeline, "cluster_nce_loss", lambda *args: Tensor(np.nan))
         out = tmp_path / "r"
         with pytest.raises(ContractError, match="non-finite loss") as raised:
-            run_training(self.desk_cfg(eps, iters=1), data, out, backbone_cfg=tiny_backbone("all"))
+            run_training(self.desk_cfg(eps, iters=1), data, out)
         dump = out / "diagnostics"
         assert str(dump) in str(raised.value)
         for name in ("features.csv", "labels.csv", "lr.txt"):
@@ -430,7 +411,7 @@ class TestRunTraining:
         monkeypatch.setattr(mlareid.pipeline, "extract_all_features", extract_with_nan_row)
         out = tmp_path / "r"
         with pytest.raises(ContractError, match="non-finite features") as raised:
-            run_training(self.desk_cfg(eps, iters=1), data, out, backbone_cfg=tiny_backbone("all"))
+            run_training(self.desk_cfg(eps, iters=1), data, out)
         dump = out / "diagnostics"
         assert str(dump) in str(raised.value)
         for name in ("features.csv", "lr.txt"):
@@ -447,19 +428,18 @@ class TestRunTraining:
             assert sum(r.batches for r in reports) >= 1
             return ck.read_bytes()
 
-        straight = run("a", 3, backbone_cfg=tiny_backbone("all"))
-        assert run("b", 3, backbone_cfg=tiny_backbone("all")) == straight
-        run("resumed", 1, backbone_cfg=tiny_backbone("all"))
+        straight = run("a", 3)
+        assert run("b", 3) == straight
+        run("resumed", 1)
         resumed = run("resumed", 3, resume_from=tmp_path / "resumed" / "checkpoint.bin")
         assert resumed == straight
         # augmentation reached the trained batches
-        assert run("plain", 3, augment=False, backbone_cfg=tiny_backbone("all")) != straight
+        assert run("plain", 3, augment=False) != straight
 
     def test_mode_mismatch_on_resume_rejected(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=1)
-        ck, _ = run_training(cfg, data, tmp_path / "r",
-                             backbone_cfg=tiny_backbone("all"))
+        ck, _ = run_training(cfg, data, tmp_path / "r")
         other = self.desk_cfg(eps, mode="hla", iters=2)
         with pytest.raises(ConfigError, match="attention_mode"):
             run_training(other, data, tmp_path / "r2", resume_from=ck)
@@ -467,8 +447,7 @@ class TestRunTraining:
     def test_checkpoint_contains_optimizer_and_meta(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=1)
-        ck, _ = run_training(cfg, data, tmp_path / "r",
-                             backbone_cfg=tiny_backbone("all"))
+        ck, _ = run_training(cfg, data, tmp_path / "r")
         entries = load_checkpoint(ck)
         assert "optim.t" in entries
         assert any(k.startswith("optim.m.") for k in entries)
@@ -479,12 +458,12 @@ class TestRunTraining:
             return apply_config_lines(default, text.splitlines())
 
         assert stored("meta.train", TrainConfig()) == cfg
-        assert stored("meta.backbone", BackboneConfig()) == tiny_backbone("all")
+        assert stored("meta.backbone", BackboneConfig()) == small_backbone("all")
+        assert entries["meta.backbone"].astype(np.uint8).tobytes() == b"input_hw = (16, 16)\nattention_mode = all"
 
     def test_config_mismatch_on_resume_names_the_keys(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
-        ck, _ = run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r",
-                             backbone_cfg=tiny_backbone("all"))
+        ck, _ = run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r")
         changed = replace(self.desk_cfg(eps, iters=2), lr0=0.2, batch_k=3)
         with pytest.raises(ConfigError, match="lr0") as raised:
             run_training(changed, data, tmp_path / "r2", resume_from=ck)
@@ -494,15 +473,6 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match="clustering_iterations"):
             run_training(self.desk_cfg(eps, iters=0), data, tmp_path / "r3", resume_from=ck)
 
-    def test_backbone_cfg_mismatch_on_resume_rejected(self, tiny_dataset, tmp_path):
-        data, eps = tiny_dataset
-        cfg = self.desk_cfg(eps, iters=1)
-        ck, _ = run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
-        run_training(cfg, data, tmp_path / "same", backbone_cfg=tiny_backbone("all"), resume_from=ck)
-        wider = replace(tiny_backbone("all"), embed_dim=8)
-        with pytest.raises(ConfigError, match="embed_dim"):
-            run_training(cfg, data, tmp_path / "r2", backbone_cfg=wider, resume_from=ck)
-
     def test_checkpoint_without_train_config_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "old.bin", {"pipeline.iteration": np.array(1.0)})
         with pytest.raises(DataFormatError, match="meta.train"):
@@ -511,7 +481,7 @@ class TestRunTraining:
     def test_checkpoint_without_data_digest_refused_on_resume(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
         cfg = self.desk_cfg(eps, iters=1)
-        ck, _ = run_training(cfg, data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        ck, _ = run_training(cfg, data, tmp_path / "r")
         entries = load_checkpoint(ck)
         assert list(entries)[-3:] == ["meta.backbone", "meta.train", "meta.data"]
         del entries["meta.data"]
@@ -532,7 +502,7 @@ class TestRunTraining:
 
         monkeypatch.setattr(mlareid.pipeline, "save_run_checkpoint", save)
         data, eps = tiny_dataset
-        run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r", backbone_cfg=tiny_backbone("all"))
+        run_training(self.desk_cfg(eps, iters=1), data, tmp_path / "r")
         assert held == [np.uint8]
 
     def test_data_digest_is_that_of_the_split_bytes(self):
@@ -540,7 +510,7 @@ class TestRunTraining:
         from mlareid.backbone import build_backbone
 
         pixels = random_bytes(np.random.default_rng(5), (37, 16, 16, 3))
-        state = RunState(cfg=TrainConfig(), backbone=build_backbone(tiny_backbone("all"), 0),
+        state = RunState(cfg=TrainConfig(), backbone=build_backbone(small_backbone("all"), 0),
                          optim=AdamState(), pixels=pixels)
         assert state.data == hashlib.sha256(pixels.tobytes()).hexdigest()
 
@@ -556,8 +526,7 @@ class TestRunTraining:
         def rows_without_seconds(out):
             return [ln.rsplit(",", 1)[0] for ln in (out / "report.csv").read_text().splitlines()]
 
-        straight, _ = run_training(cfg, data, tmp_path / "straight",
-                                   backbone_cfg=tiny_backbone("all"))
+        straight, _ = run_training(cfg, data, tmp_path / "straight")
         real_iteration = mlareid.pipeline.train_iteration
 
         def interrupted_at_two(state, out_dir):
@@ -568,7 +537,7 @@ class TestRunTraining:
         out = tmp_path / "run"
         monkeypatch.setattr(mlareid.pipeline, "train_iteration", interrupted_at_two)
         with pytest.raises(KeyboardInterrupt):
-            run_training(cfg, data, out, backbone_cfg=tiny_backbone("all"))
+            run_training(cfg, data, out)
         monkeypatch.undo()
         resumed, _ = run_training(cfg, data, out, resume_from=out / "checkpoint.bin")
         assert resumed.read_bytes() == straight.read_bytes()
@@ -614,7 +583,7 @@ class TestTapeFreeExtraction:
 
         rng = np.random.default_rng(MODES.index(mode))
         pixels = random_bytes(rng, (FEATURE_CHUNK + 3, 16, 16, 3))
-        params = build_backbone(tiny_backbone(mode), 1)
+        params = build_backbone(small_backbone(mode), 1)
         bn_warmup(params, pixels, 1)
         taped = []
         for start in range(0, pixels.shape[0], FEATURE_CHUNK):
@@ -660,9 +629,9 @@ class TestBnWarmup:
                 "constant": np.full((n, 16, 16, 3), 94, dtype=np.uint8),
             }[images]
             for passes in (0, 1, 2, 5):
-                want = build_backbone(tiny_backbone(mode), 3)
+                want = build_backbone(small_backbone(mode), 3)
                 warmup_oracle(want, pixels, passes)
-                got = build_backbone(tiny_backbone(mode), 3)
+                got = build_backbone(small_backbone(mode), 3)
                 arrays = state_entries(got)
                 param_bytes = [p.data.tobytes() for p in parameters(got)]
                 bn_warmup(got, pixels, passes)
@@ -677,7 +646,7 @@ class TestBnWarmup:
         from mlareid.backbone import build_backbone
         from mlareid.pipeline import bn_warmup
 
-        params = build_backbone(tiny_backbone("all"), 3)
+        params = build_backbone(small_backbone("all"), 3)
         with pytest.raises(ContractError, match="float64"):
             bn_warmup(params, decode(random_bytes(np.random.default_rng(0), (8, 16, 16, 3))), 1)
 
@@ -692,7 +661,7 @@ class TestParallelExtraction:
 
         rng = np.random.default_rng(seed)
         pixels = random_bytes(rng, (n, 16, 16, 3))
-        params = build_backbone(tiny_backbone(mode), seed)
+        params = build_backbone(small_backbone(mode), seed)
         bn_warmup(params, random_bytes(rng, (8, 16, 16, 3)), 1)
         return pixels, params
 
@@ -715,7 +684,7 @@ class TestParallelExtraction:
         for n in (1, 8, 17, 35):
             pixels, params = self.warmed(mode, n, MODES.index(mode))
             got = extract_all_features(pixels, params)
-            assert got.shape == (n, 4)
+            assert got.shape == (n, EMBED_DIM)
             assert got.tobytes() == self.sequential(pixels, params).tobytes(), n
 
     def test_bytes_do_not_depend_on_the_pool_width(self, monkeypatch):
@@ -754,7 +723,7 @@ class TestParallelExtraction:
         n = FEATURE_CHUNK
         rng = np.random.default_rng(8)
         pixels = random_bytes(rng, (4 * n, 128, 64, 3))
-        params = build_backbone(replace(tiny_backbone("all"), input_hw=(128, 64)), 8)
+        params = build_backbone(BackboneConfig(input_hw=(128, 64)), 8)
         records = [ImageRecord(raw=img, pid=0, camid=1, split="query", path=f"query/{i}.ppm")
                    for i, img in enumerate(pixels)]
         pin_cores(monkeypatch, 1)
@@ -770,7 +739,7 @@ class TestParallelExtraction:
                 tracemalloc.stop()
 
         traced_peak(n)  # first-call caches are not the images'
-        added = 3 * n * (pixels[0].nbytes + params.cfg.embed_dim * 8)
+        added = 3 * n * (pixels[0].nbytes + EMBED_DIM * 8)
         growth = traced_peak(4 * n) - traced_peak(n)
         assert growth <= 1.1 * added, growth / added
 

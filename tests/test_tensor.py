@@ -30,7 +30,7 @@ from mlareid.autodiff import (
 )
 from mlareid.attention import MODES
 from mlareid.errors import ContractError, DimensionError
-from conftest import pin_cores, tiny_backbone, weighted_sum, within
+from conftest import pin_cores, small_backbone, weighted_sum, within
 
 
 def conv2d_loop_reference(x, kernel, bias=None, stride=1, zero_pad=0):
@@ -837,13 +837,13 @@ class TestParallelBackward:
     @staticmethod
     def train_step_grads(mode):
         """Parameter-gradient bytes of one train-mode forward, ClusterNCE loss and backward."""
-        from mlareid.backbone import build_backbone, extract_features
+        from mlareid.backbone import EMBED_DIM, build_backbone, extract_features
         from mlareid.contrast import MemoryDictionary, cluster_nce_loss
         from mlareid.layers import parameters
 
         rng = np.random.default_rng(MODES.index(mode))
-        params = build_backbone(tiny_backbone(mode), 5)
-        centroids = rng.standard_normal((3, 4))
+        params = build_backbone(small_backbone(mode), 5)
+        centroids = rng.standard_normal((3, EMBED_DIM))
         memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True))
         images = Tensor(rng.uniform(0.0, 1.0, (12, 16, 16, 3)))
         cluster_nce_loss(extract_features(images, params, training=True), np.arange(12) % 3, memory).backward()
@@ -883,7 +883,7 @@ class TestParallelBackward:
         from mlareid.dataio import ImageRecord
         from mlareid.evalviz import grad_cam_heatmap
 
-        params = build_backbone(tiny_backbone("all"), 6)
+        params = build_backbone(small_backbone("all"), 6)
         raw = np.random.default_rng(6).integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         record = ImageRecord(raw=raw, pid=0, camid=1, split="query", path="q.ppm")
         grids = []
