@@ -4,7 +4,9 @@ Three stride-2 stages of two blocks each (16, 32 and 64 channels) shrink
 the input by 8x in each spatial dimension; this trunk is fixed, as in the
 paper. The final residual block of the last stage is swapped for the MLA block,
 and an embedding head (global average pool, linear projection, L2 norm)
-produces unit-norm feature vectors for clustering and retrieval.
+produces unit-norm feature vectors for clustering and retrieval. A network
+is fixed by two facts, passed to ``build_backbone``: the image size it takes
+(``BackboneParams.input_hw``) and the attention mode (``TrainConfig.attention_mode``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .autodiff import (
 from .errors import ConfigError, DimensionError
 from .layers import BnParams, init_bn, init_shortcut, kaiming, parameters, shortcut, state_entries
 
-# The one trunk every run trains; only the attention block varies (attention_mode).
+# The one trunk every run trains; only the attention block varies (the attention mode).
 STAGE_CHANNELS = (16, 32, 64)
 BLOCKS_PER_STAGE = (2, 2, 2)
 EMBED_DIM = 64
@@ -35,29 +37,6 @@ HEADS = 4
 C_MID = STAGE_CHANNELS[-1] // 2  # the attention block's inner width
 C_K = C_MID // 2  # domain slots
 STRIDE = 2 ** len(STAGE_CHANNELS)  # each stage halves both extents
-
-
-@dataclass
-class BackboneConfig:
-    input_hw: tuple[int, int] = (64, 32)
-    attention_mode: str = "all"
-
-    @property
-    def final_hw(self) -> tuple[int, int]:
-        h, w = self.input_hw
-        return h // STRIDE, w // STRIDE
-
-    def validate(self) -> None:
-        if len(self.input_hw) != 2:
-            raise ConfigError(f"input_hw must be two extents (height, width), got {self.input_hw}")
-        h, w = self.input_hw
-        if h % STRIDE or w % STRIDE:
-            raise ConfigError(f"input {h}x{w} is not divisible by the total stride {STRIDE}")
-        fh, fw = self.final_hw
-        if fh < 2 or fw < 2:
-            raise ConfigError(
-                f"final feature map {fh}x{fw} is below 2x2; attention needs multiple positions"
-            )
 
 
 @dataclass
@@ -78,7 +57,7 @@ class BasicBlockParams:
 
 @dataclass
 class BackboneParams:
-    cfg: BackboneConfig
+    input_hw: tuple[int, int]  # the (height, width) of every image the network takes
     stem: Parameter
     stem_bn: BnParams
     blocks: list[BasicBlockParams] = field(default_factory=list)
@@ -102,19 +81,26 @@ def _init_basic_block(
     )
 
 
-def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
-    """Deterministically initialize all parameters from one seed.
+def build_backbone(input_hw: tuple[int, int], mode: str, seed: int) -> BackboneParams:
+    """Deterministically initialize the network for ``input_hw`` images in attention ``mode`` from one seed.
 
     The trunk, the attention block and the embedding head draw from
-    separate child streams, so changing attention_mode leaves every other
+    separate child streams, so changing the mode leaves every other
     parameter bit-identical.
     """
-    cfg.validate()
+    if len(input_hw) != 2:
+        raise ConfigError(f"input_hw must be two extents (height, width), got {input_hw}")
+    h, w = input_hw
+    if h % STRIDE or w % STRIDE:
+        raise ConfigError(f"input {h}x{w} is not divisible by the total stride {STRIDE}")
+    fh, fw = h // STRIDE, w // STRIDE
+    if fh < 2 or fw < 2:
+        raise ConfigError(f"final feature map {fh}x{fw} is below 2x2; attention needs multiple positions")
     trunk_ss, mla_ss, embed_ss = np.random.SeedSequence(seed).spawn(3)
     trunk_rng = np.random.default_rng(trunk_ss)
 
     params = BackboneParams(
-        cfg=cfg,
+        input_hw=(h, w),
         stem=Parameter("backbone.stem", kaiming(trunk_rng, (3, 3, 3, STAGE_CHANNELS[0]))),
         stem_bn=init_bn(STAGE_CHANNELS[0], "backbone.stem_bn"),
     )
@@ -125,8 +111,8 @@ def build_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
             is_last = s == len(STAGE_CHANNELS) - 1 and b == n_blocks - 1
             if is_last:
                 params.mla = init_mla_block(
-                    np.random.default_rng(mla_ss), c_prev, C_MID, c_out, cfg.attention_mode,
-                    HEADS, C_K, *cfg.final_hw, "mla", stride=stride,
+                    np.random.default_rng(mla_ss), c_prev, C_MID, c_out, mode, HEADS, C_K, fh, fw,
+                    "mla", stride=stride,
                 )
             else:
                 params.blocks.append(
@@ -150,11 +136,9 @@ def _basic_forward(x: Tensor, p: BasicBlockParams, training: bool) -> Tensor:
 
 def forward_to_featuremap(images: Tensor, params: BackboneParams, training: bool) -> Tensor:
     """Run the trunk and the attention block, returning the pre-pool map."""
-    cfg = params.cfg
-    if images.ndim != 4 or images.shape[1:] != (*cfg.input_hw, 3):
-        raise DimensionError(
-            f"backbone expects input [n,{cfg.input_hw[0]},{cfg.input_hw[1]},3], got {images.shape}"
-        )
+    h, w = params.input_hw
+    if images.ndim != 4 or images.shape[1:] != (h, w, 3):
+        raise DimensionError(f"backbone expects input [n,{h},{w},3], got {images.shape}")
     x = params.stem_bn.apply(conv2d(images, params.stem, zero_pad=1), training, relu=True)
     for block in params.blocks:
         x = _basic_forward(x, block, training)

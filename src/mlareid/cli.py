@@ -73,7 +73,9 @@ def _effective(cfg, args):
     flags = _FLAGS[type(cfg)]
     given = [name for name in flags if getattr(args, name) is not None]
     lines = [f"{name} = {getattr(args, name)}" for name in given]
-    return apply_config_lines(cfg, lines, where=[flags[name] for name in given])
+    cfg = apply_config_lines(cfg, lines, [flags[name] for name in given])
+    cfg.validate()
+    return cfg
 
 
 def _load_splits(data: str, splits: tuple[str, ...]) -> list[ImageRecord]:
@@ -104,13 +106,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    backbone, _, _ = load_backbone_from_checkpoint(args.checkpoint)
+    backbone, _, cfg = load_backbone_from_checkpoint(args.checkpoint)
     _echo(
         "eval config",
         [
             f"checkpoint = {args.checkpoint}",
             f"data = {args.data}",
-            f"attention_mode = {backbone.cfg.attention_mode}",
+            f"attention_mode = {cfg.attention_mode}",
         ],
     )
     metrics = retrieval_metrics(backbone, _load_splits(args.data, ("query", "gallery")))
@@ -125,12 +127,13 @@ def _cmd_eval(args) -> int:
 def _cmd_heatmap(args) -> int:
     if args.limit < 1:
         raise ContractError(f"--limit must be at least 1, got {args.limit}")
-    backbone, memory, _ = load_backbone_from_checkpoint(args.checkpoint)
+    backbone, memory, cfg = load_backbone_from_checkpoint(args.checkpoint)
     _echo(
         "heatmap config",
         [
             f"checkpoint = {args.checkpoint}",
             f"data = {args.data}",
+            f"attention_mode = {cfg.attention_mode}",
             f"split = {args.split}",
             f"limit = {args.limit}",
             f"target = {'cluster logit' if memory is not None else 'embedding energy'}",
@@ -161,7 +164,7 @@ def _cmd_grad_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
-    for f in fields(cls):  # values are parsed and checked by apply_config_lines
+    for f in fields(cls):  # values are parsed by apply_config_lines and checked by _effective
         parser.add_argument(
             _FLAGS[cls][f.name], dest=f.name, metavar=f.type.partition("[")[0].upper(),
             help=f"{cls.__name__}.{f.name} (default {f.default})",

@@ -8,10 +8,12 @@ randomness (the memory pick, the batch order, augmentation) is derived from
 (seed, iteration), so resuming from a checkpoint written at an iteration
 boundary replays the remaining iterations bit-for-bit. ``run_training``
 writes ``checkpoint.bin`` after every iteration: parameters, running stats,
-Adam state, the last memory centroids, the iteration count, the run's
-config as ``config_lines`` text (``meta.backbone``, ``meta.train``) and the
-sha256 of the train split's bytes (``meta.data``). A resume refuses other
-training images and any config change but a larger ``clustering_iterations``.
+Adam state, the last memory centroids, the iteration count, the images'
+height and width (``backbone.input_hw``), the run's ``TrainConfig`` as
+``config_lines`` text (``meta.train``, the one place its attention mode is
+kept) and the sha256 of the train split's bytes (``meta.data``). A resume
+refuses other training images and any config change but a larger
+``clustering_iterations``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .attention import MODES
 from .autodiff import Parameter, Tensor, fold_running, no_grad, usable_cores, zero_grads
 from .backbone import (
-    EMBED_DIM, BackboneConfig, BackboneParams, build_backbone, extract_features, named_entries,
+    EMBED_DIM, BackboneParams, build_backbone, extract_features, named_entries,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import (
@@ -97,18 +99,29 @@ def parse_config(path: str | Path) -> TrainConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-    return apply_config_lines(TrainConfig(), [raw.split("#", 1)[0] for raw in text.splitlines()])
+    return _read_config(text, f"config {path}")
 
 
-def apply_config_lines(cfg, lines, where=None):
-    """Set fields of a config dataclass from ``key = value`` lines, then validate.
+def _read_config(text: str, source: str) -> TrainConfig:
+    """The TrainConfig that ``text``'s ``key = value`` lines set (``#`` starts a comment), checked;
+    an error names ``source`` and, if one line is at fault, the line."""
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    cfg = apply_config_lines(TrainConfig(), lines, [f"{source} line {i + 1}" for i in range(len(lines))])
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    return cfg
 
-    Tuples are comma-separated ints; errors cite ``where[i]`` or "config line i+1".
+
+def apply_config_lines(cfg, lines, where):
+    """A copy of the config dataclass ``cfg`` with the fields that ``key = value`` lines set, unchecked.
+
+    Tuples are comma-separated ints; an error about ``lines[i]`` cites ``where[i]``.
     """
     field_types = {f.name: f.type for f in fields(cfg)}
     updates = {}
-    for i, raw in enumerate(lines):
-        at = where[i] if where is not None else f"config line {i + 1}"
+    for at, raw in zip(where, lines, strict=True):
         line = raw.strip()
         if not line:
             continue
@@ -133,9 +146,7 @@ def apply_config_lines(cfg, lines, where=None):
                 updates[key] = value
         except ValueError:
             raise ConfigError(f"{at}: bad value {value!r} for {key!r}") from None
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **updates)
 
 
 @dataclass
@@ -390,13 +401,16 @@ def train_iteration(state: RunState, out_dir: Path) -> EpochReport:
 
 def _stored(entries: dict[str, np.ndarray], name: str, path, shape: tuple,
             top: int | None = None) -> np.ndarray:
-    """Entry ``name``, refused unless present with ``shape`` (a ``None`` axis takes any length)
-    and, given ``top``, holding only whole numbers in 0..``top``."""
+    """Entry ``name``, refused unless present with ``shape`` (a ``None`` axis takes any length but 0),
+    finite and, given ``top``, holding only whole numbers in 0..``top``."""
     if name not in entries:
         raise DataFormatError(f"checkpoint {path} lacks {name!r}")
     value = entries[name]
-    if value.ndim != len(shape) or any(want not in (None, got) for got, want in zip(value.shape, shape)):
+    if value.ndim != len(shape) or any(
+            got == 0 if want is None else got != want for got, want in zip(value.shape, shape)):
         raise DataFormatError(f"checkpoint {path} {name!r} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise DataFormatError(f"checkpoint {path} {name!r} holds a value that is not finite")
     if top is not None and not np.all((value >= 0) & (value <= top) & (value == np.floor(value))):
         raise DataFormatError(f"checkpoint {path} {name!r} holds a value that is no whole number in 0-{top}")
     return value
@@ -408,15 +422,6 @@ def _stored_text(entries: dict[str, np.ndarray], name: str, path) -> str:
         return _stored(entries, name, path, (None,), top=255).astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"checkpoint {path} {name} is not UTF-8 text ({exc})") from None
-
-
-def _stored_config(entries: dict[str, np.ndarray], name: str, default, path):
-    """The config stored as ``config_lines`` text under ``name``, applied to ``default``."""
-    lines = _stored_text(entries, name, path).splitlines()
-    try:
-        return apply_config_lines(default, lines, [f"line {i + 1}" for i in range(len(lines))])
-    except ConfigError as exc:
-        raise ConfigError(f"checkpoint {path} {name}: {exc}") from None
 
 
 def _refuse_changes(stored: TrainConfig, given: TrainConfig) -> None:
@@ -437,9 +442,9 @@ def save_run_checkpoint(path: str | Path, state: RunState) -> None:
     if state.memory is not None:
         entries["memory.centroids"] = state.memory.centroids
     entries["pipeline.iteration"] = np.array(float(state.iteration))
-    texts = (("meta.backbone", "\n".join(config_lines(state.backbone.cfg))),
-             ("meta.train", "\n".join(config_lines(state.cfg))), ("meta.data", state.data))
-    for name, text in texts:  # read back by _stored_text
+    entries["backbone.input_hw"] = np.array(state.backbone.input_hw, dtype=np.float64)
+    texts = {"meta.train": "\n".join(config_lines(state.cfg)), "meta.data": state.data}
+    for name, text in texts.items():  # read back by _stored_text
         entries[name] = np.frombuffer(text.encode("utf-8"), np.uint8).astype(np.float64)
     save_checkpoint(path, entries)
 
@@ -449,25 +454,26 @@ def _load_trained(
 ) -> tuple[TrainConfig, BackboneParams, MemoryDictionary | None, dict[str, np.ndarray]]:
     """The checkpoint's train config, backbone, final memory (if saved) and raw entries."""
     entries = load_checkpoint(path)
-    train_cfg = _stored_config(entries, "meta.train", TrainConfig(), path)
-    backbone_cfg = _stored_config(entries, "meta.backbone", BackboneConfig(), path)
-    if backbone_cfg.attention_mode != train_cfg.attention_mode:
-        raise ConfigError(f"checkpoint {path} meta.train attention_mode {train_cfg.attention_mode!r} "
-                          f"differs from meta.backbone attention_mode {backbone_cfg.attention_mode!r}")
-    backbone = build_backbone(backbone_cfg, train_cfg.seed)
+    cfg = _read_config(_stored_text(entries, "meta.train", path), f"checkpoint {path} meta.train")
+    input_hw = [int(extent) for extent in _stored(entries, "backbone.input_hw", path, (2,), top=2**53)]
+    try:
+        backbone = build_backbone(input_hw, cfg.attention_mode, cfg.seed)
+    except ConfigError as exc:  # the mode passed cfg.validate, so the image size is at fault
+        raise ConfigError(f"checkpoint {path} backbone.input_hw: {exc}") from None
     for name, target in named_entries(backbone).items():
         target[...] = _stored(entries, name, path, target.shape)
     memory = None
     if "memory.centroids" in entries:
         memory = MemoryDictionary(_stored(entries, "memory.centroids", path, (None, EMBED_DIM)))
-    return train_cfg, backbone, memory, entries
+    return cfg, backbone, memory, entries
 
 
 def load_backbone_from_checkpoint(
     path: str | Path,
-) -> tuple[BackboneParams, MemoryDictionary | None, dict[str, np.ndarray]]:
-    """Rebuild the backbone (and final memory, if saved) from a checkpoint."""
-    return _load_trained(path)[1:]
+) -> tuple[BackboneParams, MemoryDictionary | None, TrainConfig]:
+    """Rebuild the backbone, its final memory (None if none was saved) and the run's TrainConfig."""
+    cfg, backbone, memory, _ = _load_trained(path)
+    return backbone, memory, cfg
 
 
 def load_run_checkpoint(path: str | Path, cfg: TrainConfig, pixels: np.ndarray) -> RunState:
@@ -508,8 +514,7 @@ def run_training(
     if resume_from is not None:
         state = load_run_checkpoint(resume_from, cfg, pixels)
     else:
-        backbone_cfg = BackboneConfig(input_hw=pixels.shape[1:3], attention_mode=cfg.attention_mode)
-        state = RunState(cfg=cfg, backbone=build_backbone(backbone_cfg, cfg.seed),
+        state = RunState(cfg=cfg, backbone=build_backbone(pixels.shape[1:3], cfg.attention_mode, cfg.seed),
                          optim=AdamState(), pixels=pixels)
     out = Path(out_dir)  # created only once the run is accepted
     out.mkdir(parents=True, exist_ok=True)

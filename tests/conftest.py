@@ -13,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from mlareid.autodiff import mul, tsum  # noqa: E402  (after the BLAS pin)
-from mlareid.backbone import BackboneConfig  # noqa: E402
+from mlareid.backbone import BackboneParams, build_backbone  # noqa: E402
 
 
 def weighted_sum(t, w):
@@ -21,10 +21,10 @@ def weighted_sum(t, w):
     return tsum(mul(t, w))
 
 
-def small_backbone(mode: str = "all") -> BackboneConfig:
-    """The backbone every run trains, on 16x16 images: the smallest its stride-8 trunk takes
+def small_backbone(mode: str = "all", seed: int = 0) -> BackboneParams:
+    """The backbone every run trains, built for 16x16 images: the smallest its stride-8 trunk takes
     (a 2x2 final map)."""
-    return BackboneConfig(input_hw=(16, 16), attention_mode=mode)
+    return build_backbone((16, 16), mode, seed)
 
 
 def pin_cores(monkeypatch, n):

@@ -10,7 +10,6 @@ from mlareid.attention import MODES
 from mlareid.autodiff import Tensor, finite_diff_check
 from mlareid.backbone import (
     EMBED_DIM,
-    BackboneConfig,
     build_backbone,
     embed_from_featuremap,
     extract_features,
@@ -24,7 +23,7 @@ from mlareid.layers import parameters
 from mlareid.pipeline import AdamState, RunState, TrainConfig, load_backbone_from_checkpoint, save_run_checkpoint
 from conftest import pin_cores, small_backbone, weighted_sum
 
-# sha256 of the newline-joined named_entries() keys of the default config
+# sha256 of the newline-joined named_entries() keys of the desk network (64x32 images), per mode
 LAYOUT_SHA256 = {
     "baseline": "16cf4dde523aa14701af80f44bdcca42ea853fc9c6beae8af492bd4b8b838e70",
     "pla": "62301dd1f01a796c9b38e64dcbb949c684c8c1d5694a4f0200389a463fda5d32",
@@ -38,30 +37,28 @@ LAYOUT_SHA256 = {
 class TestBuild:
     def test_same_seed_is_bit_identical(self):
         """Two builds from one seed agree on every parameter and stat."""
-        a = build_backbone(small_backbone(), 5)
-        b = build_backbone(small_backbone(), 5)
+        a = small_backbone(seed=5)
+        b = small_backbone(seed=5)
         ea, eb = named_entries(a), named_entries(b)
         assert ea.keys() == eb.keys()
         for name in ea:
             assert ea[name].tobytes() == eb[name].tobytes(), name
 
     def test_desk_config_final_map_shape(self):
-        """The default desk config maps 2x64x32x3 images to a 2x8x4x64 map."""
-        cfg = BackboneConfig()
-        assert cfg.final_hw == (8, 4)
-        params = build_backbone(cfg, 0)
+        """The desk network maps 2x64x32x3 images to a 2x8x4x64 map."""
+        params = build_backbone((64, 32), "all", 0)
         x = Tensor(np.random.default_rng(0).uniform(0, 1, size=(2, 64, 32, 3)))
         fmap = forward_to_featuremap(x, params, training=False)
         assert fmap.shape == (2, 8, 4, 64)
 
     def test_baseline_mode_allocates_no_attention(self):
-        params = build_backbone(small_backbone("baseline"), 1)
+        params = small_backbone("baseline", 1)
         assert params.mla.pla is None and params.mla.hla is None and params.mla.dla is None
 
     def test_mode_swap_changes_only_the_last_block(self):
         """Trunk and embedding parameters are bit-identical across modes."""
-        a = build_backbone(small_backbone("all"), 7)
-        b = build_backbone(small_backbone("baseline"), 7)
+        a = small_backbone("all", 7)
+        b = small_backbone("baseline", 7)
         names_a = {p.name: p.data for p in parameters(a) if not p.name.startswith("mla.")}
         names_b = {p.name: p.data for p in parameters(b) if not p.name.startswith("mla.")}
         assert names_a.keys() == names_b.keys()
@@ -69,49 +66,50 @@ class TestBuild:
             assert names_a[name].tobytes() == names_b[name].tobytes(), name
 
     def test_dla_transposed_init_survives_build(self):
-        params = build_backbone(small_backbone("all"), 3)
+        params = small_backbone("all", 3)
         k = params.mla.dla.k_d.data[0, 0]
         v = params.mla.dla.v_d.data[0, 0]
         assert v.tobytes() == k.T.copy().tobytes()
 
     @pytest.mark.parametrize(
-        "cfg",
+        "input_hw, mode, why",
         [
-            BackboneConfig(input_hw=(8, 16)),
-            BackboneConfig(input_hw=(60, 32)),
-            BackboneConfig(attention_mode="everything"),
+            ((64,), "all", "input_hw must be two extents"),
+            ((8, 16), "all", "final feature map 1x2 is below 2x2"),
+            ((60, 32), "all", "input 60x32 is not divisible by the total stride 8"),
+            ((64, 32), "everything", "unknown attention mode 'everything'"),
         ],
     )
-    def test_invalid_configs_rejected(self, cfg):
+    def test_invalid_configs_rejected(self, input_hw, mode, why):
         """Collapsed maps, bad strides and modes all fail."""
-        with pytest.raises(ConfigError):
-            build_backbone(cfg, 0)
+        with pytest.raises(ConfigError, match=why):
+            build_backbone(input_hw, mode, 0)
 
 
 class TestForward:
     def test_zero_image_zero_stem_gives_zero_map(self):
         """With a zeroed stem and baseline mode a zero image stays zero."""
-        params = build_backbone(small_backbone("baseline"), 2)
+        params = small_backbone("baseline", 2)
         params.stem.data[:] = 0.0
         out = forward_to_featuremap(Tensor(np.zeros((1, 16, 16, 3))), params, training=False)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_eval_mode_is_idempotent(self):
         """Two eval-mode passes over one batch are bit-identical."""
-        params = build_backbone(small_backbone(), 4)
+        params = small_backbone(seed=4)
         x = Tensor(np.random.default_rng(1).uniform(0, 1, size=(3, 16, 16, 3)))
         a = forward_to_featuremap(x, params, training=False).data
         b = forward_to_featuremap(x, params, training=False).data
         assert a.tobytes() == b.tobytes()
 
     def test_wrong_input_shape_raises(self):
-        params = build_backbone(small_backbone(), 4)
+        params = small_backbone(seed=4)
         with pytest.raises(DimensionError, match="expects input"):
             forward_to_featuremap(Tensor(np.zeros((1, 8, 8, 3))), params, training=False)
 
     def test_training_mode_updates_running_stats(self):
         """A training pass moves the stem batch-norm running stats."""
-        params = build_backbone(small_backbone(), 8)
+        params = small_backbone(seed=8)
         before = params.stem_bn.running_mean.copy()
         x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 16, 3)))
         forward_to_featuremap(x, params, training=True)
@@ -119,7 +117,7 @@ class TestForward:
 
     def test_checkpoint_entries_are_the_arrays_training_moves(self):
         """Running stats update in place: entries named before a training pass hold its update."""
-        params = build_backbone(small_backbone(), 8)
+        params = small_backbone(seed=8)
         entries = named_entries(params)
         before = entries["backbone.stem_bn.running_mean"].copy()
         x = Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 16, 16, 3)))
@@ -131,20 +129,20 @@ class TestForward:
 
 class TestFeatures:
     def test_rows_are_unit_norm(self):
-        params = build_backbone(small_backbone(), 6)
+        params = small_backbone(seed=6)
         x = Tensor(np.random.default_rng(3).uniform(0, 1, size=(4, 16, 16, 3)))
         feats = extract_features(x, params, training=False).data
         np.testing.assert_allclose(np.linalg.norm(feats, axis=1), np.ones(4), atol=1e-9)
 
     def test_identical_images_identical_rows(self):
-        params = build_backbone(small_backbone(), 6)
+        params = small_backbone(seed=6)
         img = np.random.default_rng(4).uniform(0, 1, size=(16, 16, 3))
         feats = extract_features(Tensor(np.stack([img, img])), params, training=False).data
         assert feats[0].tobytes() == feats[1].tobytes()
 
     def test_cosine_similarity_is_dot_product(self):
         """Unit-norm rows make dot product and cosine similarity coincide."""
-        params = build_backbone(small_backbone(), 6)
+        params = small_backbone(seed=6)
         x = Tensor(np.random.default_rng(5).uniform(0, 1, size=(2, 16, 16, 3)))
         f = extract_features(x, params, training=False).data
         dot = float(f[0] @ f[1])
@@ -153,7 +151,7 @@ class TestFeatures:
 
     def test_embedding_gradients_against_finite_differences(self):
         """Gradients w.r.t. the embedding weight survive the deep composition."""
-        params = build_backbone(small_backbone(), 9)
+        params = small_backbone(seed=9)
         x = Tensor(np.random.default_rng(6).uniform(0, 1, size=(1, 16, 16, 3)))
         fmap = forward_to_featuremap(x, params, training=False).detach()
         target = Tensor(np.random.default_rng(7).standard_normal((1, EMBED_DIM)))
@@ -162,7 +160,7 @@ class TestFeatures:
 
     def test_full_network_input_gradients(self):
         """A whole-network scalar passes finite differences on a small input."""
-        params = build_backbone(small_backbone(), 11)
+        params = small_backbone(seed=11)
         x0 = np.random.default_rng(8).uniform(0.1, 0.9, size=(1, 16, 16, 3))
         v = np.random.default_rng(9).standard_normal((1, EMBED_DIM))
 
@@ -187,10 +185,9 @@ class TestTapeMemory:
         parameter-gradient rules happened to overlap the input rules.
         """
         pin_cores(monkeypatch, 1)
-        cfg = BackboneConfig()
-        params = build_backbone(cfg, 0)
+        params = build_backbone((64, 32), "all", 0)
         rng = np.random.default_rng(7)
-        images = Tensor(rng.uniform(0.0, 1.0, (16, *cfg.input_hw, 3)))
+        images = Tensor(rng.uniform(0.0, 1.0, (16, *params.input_hw, 3)))
         centroids = rng.standard_normal((4, EMBED_DIM))
         memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True))
         mib = 2.0 ** 20
@@ -217,23 +214,23 @@ class TestEntries:
         """The path of a run checkpoint of ``params``, written by ``save_run_checkpoint``."""
         path = tmp_path / "checkpoint.bin"
         state = RunState(cfg=TrainConfig(), backbone=params, optim=AdamState(),
-                         pixels=np.zeros((1, *params.cfg.input_hw, 3), np.uint8))
+                         pixels=np.zeros((1, *params.input_hw, 3), np.uint8))
         save_run_checkpoint(path, state)
         return path
 
     def test_entries_round_trip_restores_features(self, tmp_path):
         """Loading a checkpoint of one backbone reproduces its features, not those of its seed."""
-        src = build_backbone(small_backbone(), 21)
+        src = small_backbone(seed=21)
         x = Tensor(np.random.default_rng(10).uniform(0, 1, size=(2, 16, 16, 3)))
         want = extract_features(x, src, training=False).data
         dst, _, _ = load_backbone_from_checkpoint(self.saved(tmp_path, src))
         assert extract_features(x, dst, training=False).data.tobytes() == want.tobytes()
-        fresh = build_backbone(small_backbone(), TrainConfig().seed)
+        fresh = small_backbone(seed=TrainConfig().seed)
         assert extract_features(x, fresh, training=False).data.tobytes() != want.tobytes()
 
     def test_missing_entry_rejected(self, tmp_path):
         """The loader requires every entry, naming the file and the one that is missing."""
-        params = build_backbone(small_backbone(), 23)
+        params = small_backbone(seed=23)
         entries, bad = load_checkpoint(self.saved(tmp_path, params)), tmp_path / "bad.bin"
         for name in named_entries(params):
             save_checkpoint(bad, {k: v for k, v in entries.items() if k != name})
@@ -243,7 +240,7 @@ class TestEntries:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         """The loader checks every entry's shape, naming the file and the entry."""
-        params = build_backbone(small_backbone(), 24)
+        params = small_backbone(seed=24)
         entries, bad = load_checkpoint(self.saved(tmp_path, params)), tmp_path / "bad.bin"
         for name, target in named_entries(params).items():
             save_checkpoint(bad, entries | {name: entries[name].reshape(-1, 1)})
@@ -255,10 +252,10 @@ class TestEntries:
     @pytest.mark.parametrize("mode", MODES)
     def test_checkpoint_layout_is_pinned(self, mode):
         """Entry names and their order, which fix the checkpoint and Adam layouts, never move."""
-        names = "\n".join(named_entries(build_backbone(BackboneConfig(attention_mode=mode), 0)))
+        names = "\n".join(named_entries(build_backbone((64, 32), mode, 0)))
         assert hashlib.sha256(names.encode()).hexdigest() == LAYOUT_SHA256[mode]
 
     def test_parameter_names_unique(self):
-        params = build_backbone(small_backbone(), 25)
+        params = small_backbone(seed=25)
         names = [p.name for p in parameters(params)]
         assert len(names) == len(set(names))

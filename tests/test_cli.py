@@ -61,6 +61,28 @@ def with_line(workspace, tmp_path, entry, line):
     return path, len(text.splitlines())
 
 
+def tampered(workspace, tmp_path, tampers):
+    """The path of a copy of the workspace checkpoint in which each entry named in ``tampers`` is
+    ``tamper(stored value, None if absent)``, or is dropped where that gives None."""
+    entries = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    entries |= {name: tamper(entries.get(name)) for name, tamper in tampers.items()}
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, {name: value for name, value in entries.items() if value is not None})
+    return path
+
+
+def text_entry(text):
+    """``text`` as a checkpoint stores it, one float64 per UTF-8 byte."""
+    return np.frombuffer(text.encode("utf-8"), np.uint8).astype(np.float64)
+
+
+def with_first(array, value):
+    """A copy of ``array`` whose first element is ``value``."""
+    out = array.copy()
+    out.flat[0] = value
+    return out
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_one_with_usage(self, capsys):
         assert main(["polish"]) == 1
@@ -155,15 +177,20 @@ class TestTrain:
         assert "lr0 = 0.2" in out  # from file
         assert "attention_mode = pla" in out  # flag wins
 
-    def test_unknown_config_key_exits_one(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("text, why", [
+        ("# speeds\nwarp_speed = 9\n", "config {cfg} line 2: unknown key 'warp_speed'"),
+        ("eps = -1  # no line is at fault alone\n", "config {cfg}: lr0 and eps must be positive"),
+    ], ids=["unknown-key", "invalid-value"])
+    def test_a_config_file_defect_exits_one_naming_the_file(self, workspace, tmp_path, text, why, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("warp_speed = 9\n")
+        cfg.write_text(text)
         code = main([
             "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
             "--config", str(cfg),
         ])
         assert code == 1
-        assert "unknown key" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {why.format(cfg=cfg)}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_bad_flag_value_exits_one_naming_the_key(self, workspace, tmp_path, capsys):
         code = main([
@@ -248,10 +275,6 @@ class TestTrain:
 
     REMOVED_KEYS = {  # a key that is now a constant -> its entry and its line in an older checkpoint
         "tau": ("meta.train", "tau = 0.05"),
-        "stage_channels": ("meta.backbone", "stage_channels = (16, 32, 64)"),
-        "blocks_per_stage": ("meta.backbone", "blocks_per_stage = (2, 2, 2)"),
-        "embed_dim": ("meta.backbone", "embed_dim = 64"),
-        "heads": ("meta.backbone", "heads = 4"),
     }
 
     @pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
@@ -262,12 +285,10 @@ class TestTrain:
         old, number = with_line(workspace, tmp_path, entry, line)
         out = tmp_path / "fresh"
         assert main(checkpoint_argv(workspace, command, old, out)) == 1
-        assert f"checkpoint {old} {entry}: line {number}: unknown key {key!r}" in capsys.readouterr().err
+        assert f"checkpoint {old} {entry} line {number}: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     CONFIG_DEFECTS = {  # a meta line no config can be built from -> what the config's check says
-        ("meta.backbone", "input_hw = (60, 32)"): "input 60x32 is not divisible by the total stride 8",
-        ("meta.backbone", "input_hw = (32,)"): "input_hw must be two extents",  # once "not enough values to unpack"
         ("meta.train", "eps = -1"): "lr0 and eps must be positive",
     }
 
@@ -284,14 +305,32 @@ class TestTrain:
         assert f"error: checkpoint {old} {entry}: {self.CONFIG_DEFECTS[entry, line]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_a_checkpoint_whose_texts_name_two_modes_is_refused(self, workspace, tmp_path, command, capsys):
-        """A baseline network under a meta.train that says all is neither evaluated nor trained as all."""
-        old, _ = with_line(workspace, tmp_path, "meta.train", "attention_mode = all")
-        out = tmp_path / "fresh"
-        assert main(checkpoint_argv(workspace, command, old, out, mode="all")) == 1
-        assert (f"checkpoint {old} meta.train attention_mode 'all' differs from meta.backbone "
-                f"attention_mode 'baseline'") in capsys.readouterr().err
+    LOAD_DEFECTS = {  # case -> {entry: tamper}, as for tampered(), the exit code and the error
+        "indivisible-size": ({"backbone.input_hw": lambda a: np.array([60.0, 32.0])}, 1,
+                             "checkpoint {old} backbone.input_hw: input 60x32 is not divisible by the total stride 8"),
+        "one-extent-size": ({"backbone.input_hw": lambda a: a[:1]}, 2,
+                            "checkpoint {old} 'backbone.input_hw' has shape (1,), expected (2,)"),
+        "pre-change": ({"backbone.input_hw": lambda a: None,  # the image size once sat in a meta.backbone text
+                        "meta.backbone": lambda a: text_entry("input_hw = (16, 16)\nattention_mode = baseline")},
+                       2, "checkpoint {old} lacks 'backbone.input_hw'"),
+        # each of the three below once gave output: eval an mAP, heatmap an overlay, heatmap numpy's argmax error
+        "nan-weight": ({"backbone.embed.weight": lambda a: with_first(a, np.nan)}, 2,
+                       "checkpoint {old} 'backbone.embed.weight' holds a value that is not finite"),
+        "nan-centroid": ({"memory.centroids": lambda a: with_first(a, np.nan)}, 2,
+                         "checkpoint {old} 'memory.centroids' holds a value that is not finite"),
+        "no-centroids": ({"memory.centroids": lambda a: a[:0]}, 2,
+                         "checkpoint {old} 'memory.centroids' has shape (0, 64), expected (None, 64)"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+    @pytest.mark.parametrize("case", list(LOAD_DEFECTS))
+    def test_a_checkpoint_no_network_can_be_loaded_from_is_refused_naming_the_entry(
+        self, workspace, tmp_path, case, command, capsys
+    ):
+        tampers, code, why = self.LOAD_DEFECTS[case]
+        old, out = tampered(workspace, tmp_path, tampers), tmp_path / "fresh"
+        assert main(checkpoint_argv(workspace, command, old, out)) == code
+        assert f"error: {why.format(old=old)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -324,7 +363,7 @@ class TestTrain:
         "iteration-negative": ("pipeline.iteration", lambda a: np.array(-3.0)),
         "centroid-width": ("memory.centroids", lambda a: np.zeros((a.shape[0], a.shape[1] + 1))),
         "train-text-byte": ("meta.train", lambda a: np.append(a, 321.0)),  # uint8 would wrap it to "A"
-        "backbone-text-byte": ("meta.backbone", lambda a: np.append(a, -1.0)),
+        "moment-inf": ("optim.v.backbone.stem", lambda a: with_first(a, -np.inf)),
         "data-text-byte": ("meta.data", lambda a: np.append(a, 65.5)),
     }
 
@@ -372,6 +411,7 @@ class TestEval:
         ])
         out = capsys.readouterr().out
         assert code == 0
+        assert "attention_mode = baseline" in out  # the checkpoint's, from its meta.train
         assert "mAP," in out
         assert (workspace / "run" / "metrics.csv").exists()
 
@@ -437,6 +477,7 @@ class TestHeatmap:
             "--split", "query", "--limit", "2",
         ])
         assert code == 0
+        assert "attention_mode = baseline" in capsys.readouterr().out
         heat = workspace / "run" / "heatmaps"
         ppms = sorted(heat.glob("*.ppm"))
         csvs = sorted(heat.glob("*.csv"))

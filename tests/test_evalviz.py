@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlareid.backbone import EMBED_DIM, build_backbone, forward_to_featuremap
+from mlareid.backbone import EMBED_DIM, forward_to_featuremap
 from mlareid.autodiff import Tensor, add, matmul, mul, tmean, tsum, zero_grads
 from mlareid.contrast import TAU, MemoryDictionary
 from mlareid.dataio import ImageRecord, read_ppm, stack_pixels
@@ -180,7 +180,7 @@ def tiny_dataset():
 class TestRetrievalMetrics:
     def test_equals_hand_assembled_evaluate(self):
         """The query and gallery splits, embedded and evaluated, bit for bit."""
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         records = tiny_dataset()
         query = [r for r in records if r.split == "query"]
         gallery = [r for r in records if r.split == "gallery"]
@@ -197,7 +197,7 @@ class TestRetrievalMetrics:
     def test_empty_split_refused_with_counts(self):
         records = [r for r in tiny_dataset() if r.split != "gallery"]
         with pytest.raises(ContractError, match="got 8 query and 0 gallery"):
-            retrieval_metrics(build_backbone(small_backbone(), 0), records)
+            retrieval_metrics(small_backbone(), records)
 
 
 class TestGradCam:
@@ -233,7 +233,7 @@ class TestGradCam:
 
     def test_end_to_end_matches_manual_backward(self):
         """grad_cam_heatmap equals recomputing the map from a manual backward."""
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         record = tiny_record()
         mem = MemoryDictionary(np.eye(EMBED_DIM)[:3])
         hm = grad_cam_heatmap(record, params, memory=mem, cluster_id=2)
@@ -250,7 +250,7 @@ class TestGradCam:
 
     def test_leaves_no_parameter_gradients(self):
         """The backward's parameter gradients are cleared; the map is unchanged."""
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         record = tiny_record(3)
         x = Tensor(record.pixels[None, ...])
         fmap = Tensor(forward_to_featuremap(x, params, training=False).data, requires_grad=True)
@@ -264,20 +264,20 @@ class TestGradCam:
 
     def test_values_in_unit_interval_and_max_is_one(self):
         """Any nonzero map normalizes to peak exactly 1."""
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         hm = grad_cam_heatmap(tiny_record(1), params)
         assert hm.grid.min() >= 0.0 and hm.grid.max() <= 1.0
         assert hm.grid.max() == 1.0
 
     def test_fallback_score_without_memory(self):
         """Without a memory the embedding-energy score still yields structure."""
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         hm = grad_cam_heatmap(tiny_record(2), params)
         assert hm.target == "embedding energy"
         assert hm.grid.shape == (2, 2)
 
     def test_invalid_cluster_id_rejected(self):
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         mem = MemoryDictionary(np.eye(EMBED_DIM)[:3])
         with pytest.raises(ContractError, match="cluster id"):
             grad_cam_heatmap(tiny_record(), params, memory=mem, cluster_id=3)
@@ -286,7 +286,7 @@ class TestGradCam:
 
     def test_default_cluster_is_the_nearest_to_the_image_embedding(self):
         """With a memory and no cluster id, the map explains the nearest cluster, as if it were given."""
-        params = build_backbone(small_backbone(), 0)
+        params = small_backbone()
         records = [tiny_record(seed) for seed in range(4)]
         # each image's own embedding is a centroid, in reverse order, so each picks another cluster
         own = extract_all_features(stack_pixels(records), params)

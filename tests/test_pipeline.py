@@ -10,10 +10,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mlareid.backbone import EMBED_DIM, BackboneConfig, named_entries
+from mlareid.backbone import EMBED_DIM, build_backbone, named_entries
 from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.clustering import PseudoLabels
-from mlareid.dataio import ImageRecord, SynthSpec, decode, stack_pixels, synth_generate
+from mlareid.dataio import ImageRecord, SynthSpec, decode, load_dataset, stack_pixels, synth_generate
 from mlareid.errors import ConfigError, ContractError, DataFormatError
 from mlareid.attention import MODES
 from mlareid.autodiff import Parameter, Tensor
@@ -24,10 +24,12 @@ from mlareid.pipeline import (
     RunState,
     TrainConfig,
     _augment_batch,
+    _read_config,
     adam_step,
     apply_config_lines,
     config_lines,
     load_backbone_from_checkpoint,
+    load_run_checkpoint,
     lr_at,
     parse_config,
     pk_sampler,
@@ -246,29 +248,33 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("learning_rate = 0.1\n")
-        with pytest.raises(ConfigError, match="unknown key"):
+        path.write_text("# rates\nlearning_rate = 0.1\n")
+        with pytest.raises(ConfigError) as raised:
             parse_config(path)
+        assert str(raised.value) == f"config {path} line 2: unknown key 'learning_rate'"
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError, match="bad value"):
-            apply_config_lines(TrainConfig(), ["min_pts = four"])
+        with pytest.raises(ConfigError) as raised:
+            apply_config_lines(TrainConfig(), ["min_pts = four"], ["--min-pts"])
+        assert str(raised.value) == "--min-pts: bad value 'four' for 'min_pts'"
 
-    def test_invalid_combinations_rejected(self):
+    def test_invalid_combinations_rejected_naming_the_source(self):
         for line in (
             "batch_p = 1\nbatch_k = 1", "batch_p = -2\nbatch_k = -2",
             "lr0 = 0", "eps = -0.5", "min_pts = 0", "attention_mode = cnn",
             "lr0 = nan", "eps = nan", "lr0 = inf", "seed = -1",
         ):
-            with pytest.raises(ConfigError):
-                apply_config_lines(TrainConfig(), line.splitlines())
+            apply_config_lines(TrainConfig(), line.splitlines(), line.splitlines())  # each line parses
+            with pytest.raises(ConfigError, match="^where: "):
+                _read_config(line, "where")
 
     def test_config_lines_roundtrip(self):
         cfg = TrainConfig(lr0=3e-4, attention_mode="dla", augment=True)
-        assert apply_config_lines(TrainConfig(), config_lines(cfg)) == cfg
-        bb = BackboneConfig(input_hw=(32, 16), attention_mode="pla+hla")
-        assert config_lines(bb) == ["input_hw = (32, 16)", "attention_mode = pla+hla"]
-        assert apply_config_lines(BackboneConfig(), config_lines(bb)) == bb
+        assert _read_config("\n".join(config_lines(cfg)), "test") == cfg
+        spec = SynthSpec(image_hw=(32, 16), seed=3)
+        lines = config_lines(spec)
+        assert "image_hw = (32, 16)" in lines
+        assert apply_config_lines(SynthSpec(), lines, lines) == spec
 
 
 class TestRunTraining:
@@ -284,8 +290,7 @@ class TestRunTraining:
         ck, reports = run_training(cfg, data, tmp_path / "r")
         assert reports == []
         entries = load_checkpoint(ck)
-        from mlareid.backbone import build_backbone
-        fresh = named_entries(build_backbone(small_backbone("all"), 0))
+        fresh = named_entries(small_backbone("all", 0))
         for name, value in fresh.items():
             assert entries[name].tobytes() == value.tobytes()
 
@@ -453,13 +458,27 @@ class TestRunTraining:
         assert any(k.startswith("optim.m.") for k in entries)
         assert int(entries["pipeline.iteration"]) == 1
 
-        def stored(name, default):
-            text = entries[name].astype(np.uint8).tobytes().decode("utf-8")
-            return apply_config_lines(default, text.splitlines())
+        assert _read_config(entries["meta.train"].astype(np.uint8).tobytes().decode("utf-8"), "test") == cfg
+        assert entries["backbone.input_hw"].tolist() == [16.0, 16.0]
 
-        assert stored("meta.train", TrainConfig()) == cfg
-        assert stored("meta.backbone", BackboneConfig()) == small_backbone("all")
-        assert entries["meta.backbone"].astype(np.uint8).tobytes() == b"input_hw = (16, 16)\nattention_mode = all"
+    def test_a_load_reads_back_every_entry_the_checkpoint_holds(self, tiny_dataset, tmp_path, monkeypatch):
+        """A resume reads each entry of a trained run's checkpoint once: none is written to be ignored."""
+        import mlareid.pipeline
+
+        data, eps = tiny_dataset
+        cfg = self.desk_cfg(eps, iters=1)
+        ck, reports = run_training(cfg, data, tmp_path / "r")
+        assert reports[0].batches >= 1  # so the Adam moments and the centroids are saved
+        read = []
+        real_stored = mlareid.pipeline._stored
+
+        def stored(entries, name, *args, **kwargs):
+            read.append(name)
+            return real_stored(entries, name, *args, **kwargs)
+
+        monkeypatch.setattr(mlareid.pipeline, "_stored", stored)
+        load_run_checkpoint(ck, cfg, stack_pixels([r for r in load_dataset(data) if r.split == "train"]))
+        assert sorted(read) == sorted(load_checkpoint(ck))
 
     def test_config_mismatch_on_resume_names_the_keys(self, tiny_dataset, tmp_path):
         data, eps = tiny_dataset
@@ -483,7 +502,7 @@ class TestRunTraining:
         cfg = self.desk_cfg(eps, iters=1)
         ck, _ = run_training(cfg, data, tmp_path / "r")
         entries = load_checkpoint(ck)
-        assert list(entries)[-3:] == ["meta.backbone", "meta.train", "meta.data"]
+        assert list(entries)[-3:] == ["backbone.input_hw", "meta.train", "meta.data"]
         del entries["meta.data"]
         save_checkpoint(tmp_path / "old.bin", entries)
         with pytest.raises(DataFormatError, match="meta.data"):
@@ -507,10 +526,9 @@ class TestRunTraining:
 
     def test_data_digest_is_that_of_the_split_bytes(self):
         """The digest hashes the uint8 split a run holds, not a float decode eight times its size."""
-        from mlareid.backbone import build_backbone
 
         pixels = random_bytes(np.random.default_rng(5), (37, 16, 16, 3))
-        state = RunState(cfg=TrainConfig(), backbone=build_backbone(small_backbone("all"), 0),
+        state = RunState(cfg=TrainConfig(), backbone=small_backbone("all", 0),
                          optim=AdamState(), pixels=pixels)
         assert state.data == hashlib.sha256(pixels.tobytes()).hexdigest()
 
@@ -578,12 +596,12 @@ class TestTapeFreeExtraction:
     @pytest.mark.parametrize("mode", MODES)
     def test_features_equal_grad_mode_forward(self, mode):
         """extract_all_features gives the bytes of an eval forward with the tape on."""
-        from mlareid.backbone import build_backbone, extract_features
+        from mlareid.backbone import extract_features
         from mlareid.pipeline import FEATURE_CHUNK, bn_warmup, extract_all_features
 
         rng = np.random.default_rng(MODES.index(mode))
         pixels = random_bytes(rng, (FEATURE_CHUNK + 3, 16, 16, 3))
-        params = build_backbone(small_backbone(mode), 1)
+        params = small_backbone(mode, 1)
         bn_warmup(params, pixels, 1)
         taped = []
         for start in range(0, pixels.shape[0], FEATURE_CHUNK):
@@ -617,7 +635,6 @@ class TestBnWarmup:
         running arrays stay the checkpoint's objects, and neither parameters
         nor gradients move.
         """
-        from mlareid.backbone import build_backbone
         from mlareid.layers import parameters, state_entries
         from mlareid.pipeline import bn_warmup
 
@@ -629,9 +646,9 @@ class TestBnWarmup:
                 "constant": np.full((n, 16, 16, 3), 94, dtype=np.uint8),
             }[images]
             for passes in (0, 1, 2, 5):
-                want = build_backbone(small_backbone(mode), 3)
+                want = small_backbone(mode, 3)
                 warmup_oracle(want, pixels, passes)
-                got = build_backbone(small_backbone(mode), 3)
+                got = small_backbone(mode, 3)
                 arrays = state_entries(got)
                 param_bytes = [p.data.tobytes() for p in parameters(got)]
                 bn_warmup(got, pixels, passes)
@@ -643,10 +660,9 @@ class TestBnWarmup:
                 assert all(p.grad is None for p in parameters(got))
 
     def test_a_float_stack_is_refused_naming_its_dtype(self):
-        from mlareid.backbone import build_backbone
         from mlareid.pipeline import bn_warmup
 
-        params = build_backbone(small_backbone("all"), 3)
+        params = small_backbone("all", 3)
         with pytest.raises(ContractError, match="float64"):
             bn_warmup(params, decode(random_bytes(np.random.default_rng(0), (8, 16, 16, 3))), 1)
 
@@ -656,12 +672,11 @@ class TestParallelExtraction:
 
     @staticmethod
     def warmed(mode, n, seed):
-        from mlareid.backbone import build_backbone
         from mlareid.pipeline import bn_warmup
 
         rng = np.random.default_rng(seed)
         pixels = random_bytes(rng, (n, 16, 16, 3))
-        params = build_backbone(small_backbone(mode), seed)
+        params = small_backbone(mode, seed)
         bn_warmup(params, random_bytes(rng, (8, 16, 16, 3)), 1)
         return pixels, params
 
@@ -717,13 +732,12 @@ class TestParallelExtraction:
         working set the same at both sizes. The images are large so that their bytes, not the
         few KiB of interpreter blocks each chunk leaves traced, make up the growth.
         """
-        from mlareid.backbone import build_backbone
         from mlareid.pipeline import FEATURE_CHUNK, extract_all_features
 
         n = FEATURE_CHUNK
         rng = np.random.default_rng(8)
         pixels = random_bytes(rng, (4 * n, 128, 64, 3))
-        params = build_backbone(BackboneConfig(input_hw=(128, 64)), 8)
+        params = build_backbone((128, 64), "all", 8)
         records = [ImageRecord(raw=img, pid=0, camid=1, split="query", path=f"query/{i}.ppm")
                    for i, img in enumerate(pixels)]
         pin_cores(monkeypatch, 1)

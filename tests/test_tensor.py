@@ -837,12 +837,12 @@ class TestParallelBackward:
     @staticmethod
     def train_step_grads(mode):
         """Parameter-gradient bytes of one train-mode forward, ClusterNCE loss and backward."""
-        from mlareid.backbone import EMBED_DIM, build_backbone, extract_features
+        from mlareid.backbone import EMBED_DIM, extract_features
         from mlareid.contrast import MemoryDictionary, cluster_nce_loss
         from mlareid.layers import parameters
 
         rng = np.random.default_rng(MODES.index(mode))
-        params = build_backbone(small_backbone(mode), 5)
+        params = small_backbone(mode, 5)
         centroids = rng.standard_normal((3, EMBED_DIM))
         memory = MemoryDictionary(centroids / np.linalg.norm(centroids, axis=1, keepdims=True))
         images = Tensor(rng.uniform(0.0, 1.0, (12, 16, 16, 3)))
@@ -879,11 +879,10 @@ class TestParallelBackward:
         assert x.grad.tolist() == [4.0, 5.0, 6.0] and w.grad.tolist() == [1.0, 2.0, 3.0]
 
     def test_heatmap_grid_does_not_depend_on_the_core_count(self, monkeypatch):
-        from mlareid.backbone import build_backbone
         from mlareid.dataio import ImageRecord
         from mlareid.evalviz import grad_cam_heatmap
 
-        params = build_backbone(small_backbone("all"), 6)
+        params = small_backbone("all", 6)
         raw = np.random.default_rng(6).integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         record = ImageRecord(raw=raw, pid=0, camid=1, split="query", path="q.ppm")
         grids = []
