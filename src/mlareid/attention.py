@@ -21,14 +21,13 @@ from .autodiff import (
     l1_normalize,
     matmul,
     mul,
-    relu,
     reshape,
     sigmoid,
     softmax,
     transpose,
 )
 from .errors import ConfigError, DimensionError
-from .layers import BnParams, init_bn, init_shortcut, kaiming, shortcut
+from .layers import BnParams, init_bn, init_shortcut, kaiming, residual
 
 MODES = ("baseline", "pla", "hla", "pla+hla", "dla", "all")
 
@@ -164,9 +163,8 @@ def init_mla_block(
 
 
 def pla_forward(x: Tensor, p: PlaParams) -> Tensor:
-    """Gate each element by the sigmoid of a padded 3x3 conv of the map."""
-    gate = sigmoid(conv2d(x, p.kernel, bias=p.bias, stride=1, zero_pad=1))
-    return mul(x, gate)
+    """Gate each element by the sigmoid of a padded 3x3 conv of the map plus the bias."""
+    return mul(x, sigmoid(add(conv2d(x, p.kernel, zero_pad=1), p.bias)))
 
 
 def hla_forward(x: Tensor, p: HlaParams) -> Tensor:
@@ -218,7 +216,7 @@ def dla_forward(x: Tensor, p: DlaParams) -> Tensor:
 
 
 def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
-    """Reduce, run the middle stages ``p`` holds, expand, add the shortcut."""
+    """Reduce, run the middle stages ``p`` holds, expand and close the block with ``residual``."""
     m = p.bn1.apply(conv2d(x, p.reduce, stride=p.stride), training, relu=True)
     if p.conv_mid is not None:
         m = conv2d(m, p.conv_mid, zero_pad=1)
@@ -229,5 +227,4 @@ def mla_block_forward(x: Tensor, p: MlaBlockParams, training: bool) -> Tensor:
     if p.dla is not None:
         m = dla_forward(m, p.dla)
     m = p.bn2.apply(m, training, relu=True)
-    z = p.bn3.apply(conv2d(m, p.expand), training)
-    return relu(add(z, shortcut(x, p.shortcut, p.bn_sc, p.stride, training)))
+    return residual(p.bn3.apply(conv2d(m, p.expand), training), x, p, training)

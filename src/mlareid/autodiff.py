@@ -312,18 +312,6 @@ def transpose(a, axes) -> Tensor:
     return _make(a.data.transpose(axes), (a, lambda g: g.transpose(inverse)))
 
 
-def getitem(a, idx) -> Tensor:
-    """Slice or fancy indexing; duplicate indices accumulate on the way back."""
-    a = as_tensor(a)
-
-    def rule(g):
-        gx = np.zeros_like(a.data)
-        np.add.at(gx, idx, g)
-        return gx
-
-    return _make(a.data[idx], (a, rule))
-
-
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
@@ -343,7 +331,7 @@ def matmul(a, b) -> Tensor:
                  (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
-def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
+def conv2d(x, kernel, stride: int = 1, zero_pad: int = 0) -> Tensor:
     """2-D cross-correlation on NHWC input with an HWIO kernel.
 
     Output spatial extent is floor((dim + 2*pad - k)/stride) + 1. The
@@ -352,7 +340,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
     is rebuilt in backward, so the tape keeps neither it nor a padded input;
     the input gradient scatters one matmul per kernel tap into a zero
     buffer of the padded shape. Analytic gradients match the naive loop
-    oracle up to float reassociation.
+    oracle up to float reassociation. It adds no bias: ``add`` does.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4:
@@ -375,10 +363,6 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
 
-    b = as_tensor(bias) if bias is not None else None
-    if b is not None and b.shape != (c_out,):
-        raise DimensionError(f"conv2d: bias shape {b.shape} does not match output channels ({c_out},)")
-
     def im2col() -> np.ndarray:
         padded = x.data
         if zero_pad:
@@ -390,8 +374,6 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c_in)
 
     data = np.dot(im2col(), kernel.data.reshape(-1, c_out)).reshape(n, h_out, w_out, c_out)
-    if b is not None:
-        data = data + b.data
 
     def input_rule(g):
         gpad = np.zeros((n, hp, wp, c_in))
@@ -408,8 +390,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, zero_pad: int = 0) -> Tensor:
         # im2col recomputed rather than kept on the tape, which would hold it for the whole step
         return np.dot(im2col().T, g.reshape(-1, c_out)).reshape(kernel.shape)
 
-    bias_rule = () if b is None else ((b, lambda g: g),)
-    return _make(data, (x, input_rule), (kernel, kernel_rule), *bias_rule)
+    return _make(data, (x, input_rule), (kernel, kernel_rule))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,10 @@ from .autodiff import (
     conv2d,
     l2_normalize,
     matmul,
-    relu,
     tmean,
 )
 from .errors import ConfigError, DimensionError
-from .layers import BnParams, init_bn, init_shortcut, kaiming, parameters, shortcut, state_entries
+from .layers import BnParams, init_bn, init_shortcut, kaiming, parameters, residual, state_entries
 
 # The one trunk every run trains; only the attention block varies (the attention mode).
 STAGE_CHANNELS = (16, 32, 64)
@@ -130,8 +129,7 @@ def build_backbone(input_hw: tuple[int, int], mode: str, seed: int) -> BackboneP
 
 def _basic_forward(x: Tensor, p: BasicBlockParams, training: bool) -> Tensor:
     y = p.bn1.apply(conv2d(x, p.conv1, stride=p.stride, zero_pad=1), training, relu=True)
-    y = p.bn2.apply(conv2d(y, p.conv2, zero_pad=1), training)
-    return relu(add(y, shortcut(x, p.shortcut, p.bn_sc, p.stride, training)))
+    return residual(p.bn2.apply(conv2d(y, p.conv2, zero_pad=1), training), x, p, training)
 
 
 def forward_to_featuremap(images: Tensor, params: BackboneParams, training: bool) -> Tensor:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NORM_EPS, Tensor, add, exp, getitem, log, matmul, reshape, sub, tmean, tsum
+from .autodiff import NORM_EPS, Tensor, add, exp, log, matmul, mul, sub, tmean, tsum
 from .errors import ContractError
 from .clustering import PseudoLabels, cluster_members
 
@@ -64,7 +64,7 @@ def cluster_nce_loss(x: Tensor, targets, mem: MemoryDictionary) -> Tensor:
     row_max = Tensor(logits.data.max(axis=1, keepdims=True))  # detached constant
     shifted = sub(logits, row_max)
     lse = add(log(tsum(exp(shifted), axis=1, keepdims=True)), row_max)  # [b, 1]
-    picked = reshape(getitem(logits, (np.arange(targets.shape[0]), targets)), (targets.shape[0], 1))
+    picked = tsum(mul(logits, Tensor(np.eye(mem.k)[targets])), axis=1, keepdims=True)  # the target logit
     return tmean(sub(lse, picked))
 
 

@@ -1,5 +1,5 @@
-"""Shared building blocks: weight initialization, batch norm, the projection
-shortcut of the residual blocks and the one walk over a parameter tree.
+"""Shared building blocks: weight initialization, batch norm, the residual
+join that closes every block and the one walk over a parameter tree.
 
 A parameter tree is a dataclass whose fields hold ``Parameter``s,
 ``BnParams``, nested parameter dataclasses, lists of them, ``None`` or
@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, batch_norm, conv2d
+from .autodiff import Parameter, Tensor, add, batch_norm, conv2d, relu
 
 
 def kaiming(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -59,9 +59,13 @@ def init_shortcut(
     return Parameter(f"{name}.shortcut", kaiming(rng, (1, 1, c_in, c_out))), init_bn(c_out, f"{name}.bn_sc")
 
 
-def shortcut(x: Tensor, kernel: Parameter | None, bn: BnParams | None, stride: int, training: bool) -> Tensor:
-    """The residual branch: ``x`` itself, or its normalized strided projection."""
-    return x if kernel is None else bn.apply(conv2d(x, kernel, stride=stride), training)
+def residual(z: Tensor, x: Tensor, block, training: bool) -> Tensor:
+    """Close a residual ``block``: ``relu(z + sc)``, where ``sc`` is the block input ``x`` itself or,
+    where the block holds a ``shortcut`` kernel, the ``bn_sc`` norm of its strided projection."""
+    sc = x
+    if block.shortcut is not None:
+        sc = block.bn_sc.apply(conv2d(x, block.shortcut, stride=block.stride), training)
+    return relu(add(z, sc))
 
 
 def _walk(node) -> Iterator[Parameter | BnParams]:

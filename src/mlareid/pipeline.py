@@ -30,7 +30,7 @@ import numpy as np
 from .attention import MODES
 from .autodiff import Parameter, Tensor, fold_running, no_grad, usable_cores, zero_grads
 from .backbone import (
-    EMBED_DIM, BackboneParams, build_backbone, extract_features, named_entries,
+    C_MID, EMBED_DIM, HEADS, STRIDE, BackboneParams, build_backbone, extract_features, named_entries,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import (
@@ -456,12 +456,15 @@ def _load_trained(
     entries = load_checkpoint(path)
     cfg = _read_config(_stored_text(entries, "meta.train", path), f"checkpoint {path} meta.train")
     input_hw = [int(extent) for extent in _stored(entries, "backbone.input_hw", path, (2,), top=2**53)]
+    # The position rows, one per map row (column), grow with the image: checked before they are allocated
+    rows = {name: _stored(entries, name, path, (HEADS, extent // STRIDE, C_MID // HEADS))
+            for name, extent in zip(("mla.hla.r_h", "mla.hla.r_w"), input_hw) if name in entries}
     try:
         backbone = build_backbone(input_hw, cfg.attention_mode, cfg.seed)
     except ConfigError as exc:  # the mode passed cfg.validate, so the image size is at fault
         raise ConfigError(f"checkpoint {path} backbone.input_hw: {exc}") from None
     for name, target in named_entries(backbone).items():
-        target[...] = _stored(entries, name, path, target.shape)
+        target[...] = rows[name] if name in rows else _stored(entries, name, path, target.shape)
     memory = None
     if "memory.centroids" in entries:
         memory = MemoryDictionary(_stored(entries, "memory.centroids", path, (None, EMBED_DIM)))

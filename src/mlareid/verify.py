@@ -52,7 +52,7 @@ def _op_check(shape, make_op: Callable[[np.random.Generator], Callable[[Tensor],
 def _conv2d(rng: np.random.Generator):
     k = Parameter("k", rng.standard_normal((3, 3, 3, 4)) * 0.3)
     b = Parameter("b", rng.standard_normal(4) * 0.1)
-    return lambda t: autodiff.conv2d(t, k, bias=b, stride=1, zero_pad=0)
+    return lambda t: autodiff.add(autodiff.conv2d(t, k), b)
 
 
 def _matmul(rng: np.random.Generator):

@@ -116,13 +116,18 @@ class TestPla:
         with pytest.raises(DimensionError):
             pla_forward(Tensor(np.zeros((1, 4, 4, 2))), p)
 
+    @pytest.mark.parametrize("probe", ["input", "kernel", "bias"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        """PLA input gradients pass finite differences across seeds."""
+    def test_gradients(self, seed, probe):
+        """PLA gradients w.r.t. the input, the gate kernel and the bias (added after the conv) pass
+        finite differences across seeds."""
         rng = np.random.default_rng(seed)
         p = init_pla(rng, 2, "pla")
         x0 = rng.standard_normal((1, 3, 3, 2))
-        assert finite_diff_check(lambda t: tsum(pla_forward(t, p)), x0) < 1e-4
+        if probe == "input":
+            assert finite_diff_check(lambda t: tsum(pla_forward(t, p)), x0) < 1e-4
+        else:
+            assert finite_diff_check(lambda _: tsum(pla_forward(Tensor(x0), p)), getattr(p, probe)) < 1e-4
 
 
 class TestHla:

@@ -10,7 +10,9 @@ from mlareid import backbone, evalviz, verify
 from mlareid.checkpoint import load_checkpoint, save_checkpoint
 from mlareid.cli import build_parser, main
 from mlareid.dataio import read_ppm, write_ppm
-from mlareid.pipeline import load_backbone_from_checkpoint
+from mlareid.pipeline import (
+    AdamState, RunState, TrainConfig, load_backbone_from_checkpoint, save_run_checkpoint,
+)
 from mlareid.verify import GRAD_TOLERANCE
 
 
@@ -331,6 +333,25 @@ class TestTrain:
         old, out = tampered(workspace, tmp_path, tampers), tmp_path / "fresh"
         assert main(checkpoint_argv(workspace, command, old, out)) == code
         assert f"error: {why.format(old=old)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+    def test_an_image_size_the_position_rows_do_not_fit_is_refused_before_the_network_is_built(
+        self, workspace, tmp_path, command, capsys
+    ):
+        """Position rows for a 2**53-row image would take 256 PiB: the stored rows are checked first."""
+        params = backbone.build_backbone((16, 16), "all", 0)
+        save_run_checkpoint(tmp_path / "all.bin", RunState(
+            cfg=TrainConfig(attention_mode="all"), backbone=params, optim=AdamState(),
+            pixels=np.zeros((1, 16, 16, 3), np.uint8)))
+        entries = load_checkpoint(tmp_path / "all.bin")
+        entries["backbone.input_hw"] = np.array([2.0**53, 32.0])
+        old, out = tmp_path / "old.bin", tmp_path / "fresh"
+        save_checkpoint(old, entries)
+        assert main(checkpoint_argv(workspace, command, old, out, mode="all")) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {old} 'mla.hla.r_h' has shape {params.mla.hla.r_h.shape}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
