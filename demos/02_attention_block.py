@@ -11,11 +11,16 @@ Run:  python3 demos/02_attention_block.py
 
 import numpy as np
 
-from mlareid.attention import MODES, init_mla_block, mla_block_forward
+from mlareid.attention import MODES, STAGES, init_mla_block, mla_block_forward
 from mlareid.autodiff import Tensor
 
 rng = np.random.default_rng(7)
 x = Tensor(rng.normal(size=(2, 8, 4, 8)))  # NHWC: two 8x4 maps, 8 channels
+
+print("middle stages per mode, in chain order:")
+for mode, stages in STAGES.items():
+    print(f"{mode:9s} {' -> '.join(stages) or '(none)'}")
+print()
 
 outputs = {}
 for mode in MODES:
@@ -36,7 +41,7 @@ for mode in MODES:
     print(f"{mode:9s} relative change vs baseline: {delta:.4f}")
 
 # The attention stages replace the bottleneck's 3x3 mid convolution, which
-# only baseline mode keeps. Each mode draws its middle stage before the
-# reduce and expand convolutions, so with one seed those weights differ
-# between modes as well (pla's gate takes as many draws as the mid conv, so
-# pla alone shares them with baseline): the changes above mix both effects.
+# runs only where the table above lists no stage. Each mode draws its middle
+# stage before the reduce and expand convolutions, so with one seed those
+# weights differ between modes as well (pla's gate takes as many draws as the
+# mid conv, so the two share them): the changes above mix both effects.

@@ -1,10 +1,10 @@
 """Pixel-, head- and domain-level attention and their residual composition.
 
 The three operators all preserve the spatial shape of the feature map, so
-any subset can be enabled inside the block. The enabled chain runs
-PLA -> HLA -> DLA: the pixel gate cleans features before self-attention
-(so the queries meeting the position encoding are already gated), and the
-domain memory post-processes as a dataset-level supplement.
+any subset can be enabled inside the block (``STAGES`` gives each mode's).
+The chain runs PLA -> HLA -> DLA: the pixel gate cleans features before
+self-attention (so the queries meeting the position encoding are already
+gated), and the domain memory post-processes as a dataset-level supplement.
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ from .autodiff import (
 from .errors import ConfigError, DimensionError
 from .layers import BnParams, init_bn, init_shortcut, kaiming, residual
 
-MODES = ("baseline", "pla", "hla", "pla+hla", "dla", "all")
+# Each mode's middle stages in chain order; a mode with none runs the plain 3x3 ``conv_mid`` instead.
+STAGES = {"baseline": (), "pla": ("pla",), "hla": ("hla",), "pla+hla": ("pla", "hla"),
+          "dla": ("dla",), "all": ("pla", "hla", "dla")}
+MODES = tuple(STAGES)
 
 # The gate and domain-memory weights start above the usual conv scale so the
 # two stages shape features from the first clustering pass; at plain kaiming
@@ -76,7 +79,7 @@ class MlaBlockParams:
     bn1: BnParams
     bn2: BnParams
     bn3: BnParams
-    conv_mid: Parameter | None  # [3,3,c_mid,c_mid], baseline mode only
+    conv_mid: Parameter | None  # [3,3,c_mid,c_mid], only when the mode runs no stage
     pla: PlaParams | None
     hla: HlaParams | None
     dla: DlaParams | None
@@ -135,16 +138,11 @@ def init_mla_block(
     """Allocate exactly the sub-parameters the given mode computes with."""
     if mode not in MODES:
         raise ConfigError(f"unknown attention mode {mode!r}, expected one of {MODES}")
-    pla = hla = dla = conv_mid = None
-    if mode == "baseline":
-        conv_mid = Parameter(f"{name}.conv_mid", kaiming(rng, (3, 3, c_mid, c_mid)))
-    else:
-        if mode in ("pla", "pla+hla", "all"):
-            pla = init_pla(rng, c_mid, f"{name}.pla")
-        if mode in ("hla", "pla+hla", "all"):
-            hla = init_hla(rng, c_mid, heads, h, w, f"{name}.hla")
-        if mode in ("dla", "all"):
-            dla = init_dla(rng, c_mid, c_k, f"{name}.dla")
+    stages = STAGES[mode]  # drawn in chain order
+    conv_mid = None if stages else Parameter(f"{name}.conv_mid", kaiming(rng, (3, 3, c_mid, c_mid)))
+    pla = init_pla(rng, c_mid, f"{name}.pla") if "pla" in stages else None
+    hla = init_hla(rng, c_mid, heads, h, w, f"{name}.hla") if "hla" in stages else None
+    dla = init_dla(rng, c_mid, c_k, f"{name}.dla") if "dla" in stages else None
     sc, bn_sc = init_shortcut(rng, c_in, c_out, stride, name)
     return MlaBlockParams(
         reduce=Parameter(f"{name}.reduce", kaiming(rng, (1, 1, c_in, c_mid))),

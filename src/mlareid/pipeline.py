@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import MODES
+from .attention import MODES, STAGES
 from .autodiff import Parameter, Tensor, fold_running, no_grad, usable_cores, zero_grads
 from .backbone import (
     C_MID, EMBED_DIM, HEADS, STRIDE, BackboneParams, build_backbone, extract_features, named_entries,
@@ -456,13 +456,14 @@ def _load_trained(
     entries = load_checkpoint(path)
     cfg = _read_config(_stored_text(entries, "meta.train", path), f"checkpoint {path} meta.train")
     input_hw = [int(extent) for extent in _stored(entries, "backbone.input_hw", path, (2,), top=2**53)]
-    # The position rows, one per map row (column), grow with the image: checked before they are allocated
+    # A mode with HLA has its position rows, sized by the image, checked before build_backbone allocates them
+    row_names = ("mla.hla.r_h", "mla.hla.r_w") if "hla" in STAGES[cfg.attention_mode] else ()
     rows = {name: _stored(entries, name, path, (HEADS, extent // STRIDE, C_MID // HEADS))
-            for name, extent in zip(("mla.hla.r_h", "mla.hla.r_w"), input_hw) if name in entries}
+            for name, extent in zip(row_names, input_hw)}
     try:
         backbone = build_backbone(input_hw, cfg.attention_mode, cfg.seed)
     except ConfigError as exc:  # the mode passed cfg.validate, so the image size is at fault
-        raise ConfigError(f"checkpoint {path} backbone.input_hw: {exc}") from None
+        raise DataFormatError(f"checkpoint {path} backbone.input_hw: {exc}") from None
     for name, target in named_entries(backbone).items():
         target[...] = rows[name] if name in rows else _stored(entries, name, path, target.shape)
     memory = None

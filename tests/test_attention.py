@@ -7,6 +7,7 @@ import pytest
 
 from mlareid.attention import (
     MODES,
+    STAGES,
     dla_forward,
     hla_forward,
     init_dla,
@@ -299,10 +300,12 @@ class TestMlaBlock:
         with pytest.raises(ConfigError, match="unknown attention mode"):
             init_mla_block(np.random.default_rng(0), 4, 2, 4, "extra", 1, 2, 8, 8, "mla")
 
-    def test_baseline_allocates_no_attention_parameters(self):
-        p = self.build("baseline")
-        assert p.pla is None and p.hla is None and p.dla is None
-        assert p.conv_mid is not None
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_mode_holds_exactly_its_stages(self, mode):
+        """A stage's parameters exist exactly when STAGES names it; conv_mid exactly when it names none."""
+        p = self.build(mode)
+        assert {stage for stage in ("pla", "hla", "dla") if getattr(p, stage) is not None} == set(STAGES[mode])
+        assert (p.conv_mid is not None) == (STAGES[mode] == ())
 
     @pytest.mark.parametrize("mode", MODES)
     def test_shape_preserved_across_modes(self, mode):

@@ -33,6 +33,17 @@ LAYOUT_SHA256 = {
     "all": "9c9718f0954e491363581031286fe7b097bc44711602d7987a669557f068280b",
 }
 
+# sha256 of the concatenated bytes of those entries at seed 0, per mode: the initial values and the
+# order of the draws that make them
+INIT_SHA256 = {
+    "baseline": "e79356b1c4761db6e97078e2b62f612b7c1726aace29ff9f67cfa43ea4b57492",
+    "pla": "c023e98b082d05a3645339a7c1a8b713aaef4b80d974d2f90f029e3db3d99a08",
+    "hla": "a9f6eb98e62f5dffc5ba4736b21526e84c2a5ad012866b7c2b8e76b57b08be4e",
+    "pla+hla": "a66652d90c49d4b9dcc5ecde796f78c68632e639b6cb5569300c3bfc625e2788",
+    "dla": "683e3fdd11ee03d2159dfd604c564a6a7b0c62be70f4576337b7738ca6a59784",
+    "all": "9ed151a09c84e0656ec6c04650ae07bc3605e6f3da3741d88ae907610ffa2128",
+}
+
 
 class TestBuild:
     def test_same_seed_is_bit_identical(self):
@@ -254,6 +265,14 @@ class TestEntries:
         """Entry names and their order, which fix the checkpoint and Adam layouts, never move."""
         names = "\n".join(named_entries(build_backbone((64, 32), mode, 0)))
         assert hashlib.sha256(names.encode()).hexdigest() == LAYOUT_SHA256[mode]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_initial_bytes_are_pinned(self, mode):
+        """The seed-0 entries of the desk network keep their bytes, so reordering the init's draws fails here."""
+        digest = hashlib.sha256()
+        for value in named_entries(build_backbone((64, 32), mode, 0)).values():
+            digest.update(value.tobytes())
+        assert digest.hexdigest() == INIT_SHA256[mode]
 
     def test_parameter_names_unique(self):
         params = small_backbone(seed=25)

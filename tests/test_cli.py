@@ -308,7 +308,7 @@ class TestTrain:
         assert not out.exists()
 
     LOAD_DEFECTS = {  # case -> {entry: tamper}, as for tampered(), the exit code and the error
-        "indivisible-size": ({"backbone.input_hw": lambda a: np.array([60.0, 32.0])}, 1,
+        "indivisible-size": ({"backbone.input_hw": lambda a: np.array([60.0, 32.0])}, 2,
                              "checkpoint {old} backbone.input_hw: input 60x32 is not divisible by the total stride 8"),
         "one-extent-size": ({"backbone.input_hw": lambda a: a[:1]}, 2,
                             "checkpoint {old} 'backbone.input_hw' has shape (1,), expected (2,)"),
@@ -336,21 +336,26 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+    @pytest.mark.parametrize("rows", ["stored", "deleted"])
     def test_an_image_size_the_position_rows_do_not_fit_is_refused_before_the_network_is_built(
-        self, workspace, tmp_path, command, capsys
+        self, workspace, tmp_path, rows, command, capsys
     ):
-        """Position rows for a 2**53-row image would take 256 PiB: the stored rows are checked first."""
+        """Position rows for a 2**53-row image would take 256 PiB: a mode with HLA has its rows checked first,
+        and a checkpoint that lacks them is refused for that, not built at the stored size."""
         params = backbone.build_backbone((16, 16), "all", 0)
         save_run_checkpoint(tmp_path / "all.bin", RunState(
             cfg=TrainConfig(attention_mode="all"), backbone=params, optim=AdamState(),
             pixels=np.zeros((1, 16, 16, 3), np.uint8)))
         entries = load_checkpoint(tmp_path / "all.bin")
-        entries["backbone.input_hw"] = np.array([2.0**53, 32.0])
+        entries["backbone.input_hw"] = np.array([2.0**53, 16.0])
+        if rows == "deleted":
+            del entries["mla.hla.r_h"], entries["mla.hla.r_w"]
         old, out = tmp_path / "old.bin", tmp_path / "fresh"
         save_checkpoint(old, entries)
         assert main(checkpoint_argv(workspace, command, old, out, mode="all")) == 2
         err = capsys.readouterr().err
-        assert f"error: checkpoint {old} 'mla.hla.r_h' has shape {params.mla.hla.r_h.shape}" in err
+        why = {"stored": f"'mla.hla.r_h' has shape {params.mla.hla.r_h.shape}", "deleted": "lacks 'mla.hla.r_h'"}
+        assert f"error: checkpoint {old} {why[rows]}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
