@@ -28,7 +28,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,6 +131,20 @@ class Parameter(Tensor):
 def usable_cores() -> int:
     """Cores this process may run on (its affinity mask where the OS has one)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def on_every_core(work: Callable[[Sequence], list], items: Sequence) -> list:
+    """``work``'s results for ``items``, in item order, computed on every usable core.
+
+    Stream k of ``min(usable_cores(), len(items))`` runs ``work(items[k::streams])``, one result per
+    item: stream 0 on the calling thread, the others on a pool of ``streams - 1`` threads, joined before
+    the call returns (no thread is alive at a fork). An error raised in any stream reaches the caller.
+    """
+    streams = max(1, min(usable_cores(), len(items)))
+    with ThreadPoolExecutor(max(streams - 1, 1)) as pool:
+        others = pool.map(lambda k: work(items[k::streams]), range(1, streams))
+        outs = [work(items[::streams]), *others]  # reads every pool result, re-raising its error
+    return [outs[i % streams][i // streams] for i in range(len(items))]
 
 
 def as_tensor(x) -> Tensor:

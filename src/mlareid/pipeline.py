@@ -21,14 +21,13 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .attention import MODES, STAGES
-from .autodiff import Parameter, Tensor, fold_running, no_grad, usable_cores, zero_grads
+from .autodiff import Parameter, Tensor, fold_running, no_grad, on_every_core, zero_grads
 from .backbone import (
     C_MID, EMBED_DIM, HEADS, STRIDE, BackboneParams, build_backbone, extract_features, named_entries,
 )
@@ -255,24 +254,18 @@ def _derived_seed(*keys: int) -> int:
 def extract_all_features(pixels: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Eval-mode features of uint8 ``pixels`` in input order, computed on every usable core.
 
-    The calling thread (so its heap arena, which training reuses, serves too: desk peak RSS
-    116-122 MiB against 130-133 MiB for a pool.map over all chunks) and one pool thread per
-    other core take FEATURE_CHUNK-image chunks in turn: same bytes at any count. Each stream decodes
-    its chunks into one buffer, free again once a forward returns: a fresh array per chunk cost
+    ``autodiff.on_every_core`` deals FEATURE_CHUNK-image chunks to its streams, the calling thread
+    first (its heap arena, which training reuses, serves too: desk peak RSS 116-122 MiB against
+    130-133 MiB for a pool.map over all chunks): same bytes at any count. Each stream decodes its
+    chunks into one buffer, free again once a forward returns: a fresh array per chunk cost
     gallery-embed 3.7 % of its rate (5 pairs, BENCH_21.json) and 36.6k minor page faults a pass, not 2.5k.
     """
-    starts = range(0, pixels.shape[0], FEATURE_CHUNK)
-    streams = max(1, min(usable_cores(), len(starts)))
-
-    def run_stream(first: int) -> list[np.ndarray]:
+    def run_stream(starts: range) -> list[np.ndarray]:
         floats = np.empty(pixels[:FEATURE_CHUNK].shape)
         with no_grad():  # per thread
-            chunks = (decode(pixels[s:s + FEATURE_CHUNK], floats) for s in starts[first::streams])
+            chunks = (decode(pixels[s:s + FEATURE_CHUNK], floats) for s in starts)
             return [extract_features(Tensor(chunk), params, training=False).data for chunk in chunks]
-    with ThreadPoolExecutor(max(streams - 1, 1)) as pool:
-        others = pool.map(run_stream, range(1, streams))
-        outs = [run_stream(0), *others]  # reads every pool result, re-raising its error
-    return np.concatenate([outs[i % streams][i // streams] for i in range(len(starts))], axis=0)
+    return np.concatenate(on_every_core(run_stream, range(0, pixels.shape[0], FEATURE_CHUNK)), axis=0)
 
 
 def bn_warmup(params: BackboneParams, pixels: np.ndarray, passes: int) -> None:

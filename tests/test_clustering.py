@@ -1,11 +1,15 @@
 """DBSCAN against a transitive-closure oracle, plus distance contracts."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import mlareid.clustering
+from conftest import pin_cores
 from mlareid.clustering import (
     DISTANCE_BLOCK,
     ClusterStats,
@@ -134,8 +138,10 @@ class TestPairwiseCosineDistance:
             assert got.tobytes() == want.tobytes()
             np.testing.assert_array_equal(got, got.T)
 
-    def test_peak_memory_is_one_matrix(self):
-        """Only the n x n result plus block-sized scratch is alive at the peak."""
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_peak_memory_is_one_matrix(self, monkeypatch, cores):
+        """Only the n x n result plus block-sized scratch is alive at the peak, on any core count."""
+        pin_cores(monkeypatch, cores)
         n = 1500
         f = np.random.default_rng(0).standard_normal((n, 64))
         f /= np.linalg.norm(f, axis=1, keepdims=True)
@@ -224,8 +230,10 @@ class TestDbscan:
         np.testing.assert_array_equal(out.labels, np.zeros(300))
         np.testing.assert_array_equal(out.labels, dbscan_closure_oracle(dist.d, 0.04, 2))
 
-    def test_collapsed_peak_memory_is_a_few_bytes_per_pair(self):
-        """No neighbour-pair list: collapsed n = 1500 peaks at <= 4 bytes per pair."""
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_collapsed_peak_memory_is_a_few_bytes_per_pair(self, monkeypatch, cores):
+        """No neighbour-pair list: collapsed n = 1500 peaks at <= 4 bytes per pair, on any core count."""
+        pin_cores(monkeypatch, cores)
         n = 1500
         dist = pairwise_cosine_distance(collapsed_features(n))
         tracemalloc.start()
@@ -295,6 +303,63 @@ class TestDbscan:
             dbscan(dist, 0.0, 4)
         with pytest.raises(ContractError):
             dbscan(dist, 0.4, 0)
+
+
+class TestRowBlocksOnEveryCore:
+    """The O(n^2) passes run DISTANCE_BLOCK-row blocks on every usable core, the same bytes at any count."""
+
+    @staticmethod
+    def blocks_by_thread(monkeypatch):
+        """Spy on clustering's calls of ``on_every_core``: one list of (thread, block start) per call."""
+        real, calls = mlareid.clustering.on_every_core, []
+
+        def spied(work, items):
+            ran = []
+            calls.append(ran)
+
+            def traced(part):
+                ran.extend((threading.get_ident(), start) for start in part)
+                return work(part)
+            return real(traced, items)
+        monkeypatch.setattr(mlareid.clustering, "on_every_core", spied)
+        return calls
+
+    @pytest.mark.parametrize("collapsed", [False, True])
+    @pytest.mark.parametrize(
+        "n", [1, 2, DISTANCE_BLOCK - 1, DISTANCE_BLOCK, DISTANCE_BLOCK + 1, 600]
+    )
+    def test_same_bytes_at_one_two_and_three_cores(self, monkeypatch, n, collapsed):
+        """Distances and labels equal the one-core ones (and the oracle's); each block runs once,
+        the calling thread runs one, and with two streams or more a pool thread runs one too."""
+        if collapsed:
+            f, eps, min_pts = collapsed_features(n, seed=n), 0.04, 2
+        else:
+            f = unit(np.random.default_rng(n).standard_normal((n, 4)))
+            eps, min_pts = float(np.quantile(whole_matrix_formula(f), min(1.0, 4 / n))) or 0.5, 4
+        calls = self.blocks_by_thread(monkeypatch)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for cores in (1, 2, 3):
+                pin_cores(monkeypatch, cores)
+                calls.clear()
+                dist = pairwise_cosine_distance(f)
+                results[cores] = dist.d.tobytes(), dbscan(dist, eps, min_pts).labels
+                assert len(calls) == 2, cores  # the distance pass and dbscan's within pass
+                for ran in calls:
+                    assert sorted(start for _, start in ran) == list(range(0, n, DISTANCE_BLOCK)), cores
+                    threads = {thread for thread, _ in ran}
+                    assert threading.get_ident() in threads, cores
+                    pooled = len(threads) > 1  # a pool thread ran a block
+                    assert pooled == (min(cores, len(ran)) > 1), cores
+        finally:
+            sys.setswitchinterval(interval)
+        oracle = dbscan_closure_oracle(np.frombuffer(results[1][0]).reshape(n, n), eps, min_pts)
+        np.testing.assert_array_equal(results[1][1], oracle)
+        for cores in (2, 3):
+            assert results[cores][0] == results[1][0], cores
+            np.testing.assert_array_equal(results[cores][1], results[1][1], err_msg=str(cores))
 
 
 class TestPseudoLabels:

@@ -917,3 +917,50 @@ class TestParallelBackward:
                 child.kill()
         assert got == want
         assert child.exitcode == 0
+
+
+class TestOnEveryCore:
+    """Stream k runs work(items[k::streams]) on min(cores, items) streams; results come back in item order."""
+
+    @staticmethod
+    def spied_work(calls):
+        """Ten times each item, recording which thread got which part."""
+        def work(part):
+            calls.append((threading.get_ident(), list(part)))
+            return [10 * item for item in part]
+        return work
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+    def test_results_come_back_in_item_order(self, monkeypatch, cores, count):
+        pin_cores(monkeypatch, cores)
+        items, calls = list(range(100, 100 + count)), []
+        before = threading.active_count()
+        assert ad.on_every_core(self.spied_work(calls), items) == [10 * item for item in items]
+        assert threading.active_count() == before
+        streams = max(1, min(cores, count))
+        assert sorted(part for _, part in calls) == sorted(items[k::streams] for k in range(streams))
+        assert [part for thread, part in calls if thread == threading.get_ident()] == [items[::streams]]
+        # a pool thread that is idle again may take a later stream
+        assert 1 + (streams > 1) <= len({thread for thread, _ in calls}) <= streams
+
+    def test_a_range_is_dealt_as_ranges(self, monkeypatch):
+        pin_cores(monkeypatch, 2)
+        assert ad.on_every_core(lambda part: [type(part)] * len(part), range(0, 5)) == [range] * 5
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_an_error_in_a_pool_stream_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, cores):
+        pin_cores(monkeypatch, cores)
+        ran_on = []
+
+        def work(part):
+            if 1 in part:  # stream 1, a pool thread
+                ran_on.append(threading.get_ident())
+                raise RuntimeError("stream 1 failed")
+            return list(part)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="stream 1 failed"):
+            ad.on_every_core(work, range(6))
+        assert ran_on and ran_on[0] != threading.get_ident()
+        assert threading.active_count() == before
